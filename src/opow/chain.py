@@ -22,7 +22,9 @@ from .pow import (
     BlockHeader,
     HEADER_SIZE,
     RetargetParams,
+    compact_from_target,
     deserialize_header,
+    is_retarget_boundary,
     meets_target,
     mine,
     scheduled_target,
@@ -203,16 +205,15 @@ class ChainIndex:
         return stamps[len(stamps) // 2]
 
     def scheduled_compact(self, parent_hash: bytes) -> int:
-        from .pow import compact_from_target
-
+        # Off a boundary the parent's bits carry over verbatim, even when
+        # they are not the canonical encoding of the parent's target.
         parent = self._entries[parent_hash]
-        window = self.params.window
-        if parent.height == 0 or parent.height % window != 0:
+        if not is_retarget_boundary(parent.height, self.params):
             return parent.block.header.compact_target
         stamps = {}
         for entry in self.ancestors(parent_hash):
             stamps[entry.height] = entry.block.header.timestamp
-            if entry.height <= parent.height - window:
+            if entry.height <= parent.height - self.params.window:
                 break
         parent_target = target_from_compact(parent.block.header.compact_target)
         value = scheduled_target(parent.height, parent_target,
@@ -287,13 +288,18 @@ class ChainIndex:
             self.tip = bh
 
     def _drain_orphans(self, parent_hash: bytes, accepted: list[bytes]) -> None:
-        pending = self._orphans.pop(parent_hash, [])
-        for block in pending:
-            if self.validate_block(block) is Verdict.VALID:
+        # Depth first, each parent's orphans in pool order; an explicit stack
+        # so a deep pooled chain cannot exhaust the interpreter's.
+        stack = [iter(self._orphans.pop(parent_hash, []))]
+        while stack:
+            block = next(stack[-1], None)
+            if block is None:
+                stack.pop()
+            elif self.validate_block(block) is Verdict.VALID:
                 bh = block_id(block)
                 self._insert(block, bh)
                 accepted.append(bh)
-                self._drain_orphans(bh, accepted)
+                stack.append(iter(self._orphans.pop(bh, [])))
 
     def _common_ancestor(self, a_hash: bytes, b_hash: bytes) -> _Entry:
         a = self._entries[a_hash]

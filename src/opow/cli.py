@@ -350,6 +350,8 @@ def _attack_engine_mode(args, cfg: dict) -> int:
         raise ConfigError("give either q/z or a miners scenario, not both")
     base = netsim.scenario_from_config(cfg, seed=args.seed)
     runs = cfg.get("runs", 1)
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
     records = []
     successes = 0
     with_attacker = base.attacker() is not None

@@ -11,7 +11,9 @@ The 64x64 weighting matrix M has 4-bit entries, is derived deterministically
 from a 32-byte seed with xoshiro256++, and must be full rank over the
 rationals so the weighting stage does not collapse distinct inputs.  The
 whole consensus path is exact integer arithmetic: every accumulator is
-bounded by 64 * 15 * 15 = 14400 < 2**14.
+bounded by 64 * 15 * 15 = 14400 < 2**14, so the weighting matmul is exact
+in float64 BLAS.  `heavyhash_many` holds the one round loop, over a batch of
+inputs; `heavyhash` is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 DIGEST_SIZE = 32
 MATRIX_DIM = 64
 DEMO_DIM = 16
-NIBBLE_BITS = 4
 NIBBLE_MAX = 15
 TRUNCATE_SHIFT = 10
 
@@ -97,22 +98,13 @@ def _check_digest(value: bytes, name: str = "digest") -> None:
 
 @dataclass(frozen=True)
 class HeavyHashParams:
-    """Pipeline knobs; everything but `rounds` is a consensus constant."""
+    """Pipeline knobs; everything else about the pipeline is a consensus constant."""
 
     rounds: int = 1
-    matrix_dim: int = MATRIX_DIM
-    truncate_shift: int = TRUNCATE_SHIFT
-    nibble_bits: int = NIBBLE_BITS
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ParameterError("rounds must be >= 1")
-        if self.matrix_dim not in (DEMO_DIM, MATRIX_DIM):
-            raise ParameterError(f"matrix_dim must be {DEMO_DIM} or {MATRIX_DIM}")
-        if self.truncate_shift != TRUNCATE_SHIFT:
-            raise ParameterError(f"truncate_shift is fixed at {TRUNCATE_SHIFT}")
-        if self.nibble_bits != NIBBLE_BITS:
-            raise ParameterError(f"nibble_bits is fixed at {NIBBLE_BITS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +137,24 @@ def identity_matrix(dim: int = MATRIX_DIM) -> WeightMatrix:
     return WeightMatrix(entries=np.eye(dim, dtype=np.int64), seed=bytes(DIGEST_SIZE))
 
 
+def _split_nibbles(raw: bytes) -> np.ndarray:
+    # Concatenated digests -> (n, 64) int64, high nibble of each byte first.
+    b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, DIGEST_SIZE).astype(np.int64)
+    out = np.empty((len(b), 2 * DIGEST_SIZE), dtype=np.int64)
+    out[:, 0::2] = b >> 4
+    out[:, 1::2] = b & 0x0F
+    return out
+
+
+def _pack_nibbles(x: np.ndarray) -> bytes:
+    # Inverse of _split_nibbles for values already in [0, 15].
+    return ((x[..., 0::2] << 4) | x[..., 1::2]).astype(np.uint8).tobytes()
+
+
 def digest_to_nibbles(digest: bytes) -> np.ndarray:
     """Split a 32-byte digest into 64 nibbles, high nibble of each byte first."""
     _check_digest(digest)
-    b = np.frombuffer(bytes(digest), dtype=np.uint8).astype(np.int64)
-    out = np.empty(2 * DIGEST_SIZE, dtype=np.int64)
-    out[0::2] = b >> 4
-    out[1::2] = b & 0x0F
-    return out
+    return _split_nibbles(bytes(digest))[0]
 
 
 def nibbles_to_digest(nibbles: np.ndarray) -> bytes:
@@ -162,7 +164,7 @@ def nibbles_to_digest(nibbles: np.ndarray) -> bytes:
         raise ValueError(f"expected {2 * DIGEST_SIZE} nibbles")
     if arr.min() < 0 or arr.max() > NIBBLE_MAX:
         raise ValueError("nibble values must be in [0, 15]")
-    return ((arr[0::2] << 4) | arr[1::2]).astype(np.uint8).tobytes()
+    return _pack_nibbles(arr)
 
 
 def _draw_entries(rng: Xoshiro256PlusPlus, dim: int) -> np.ndarray:
@@ -241,68 +243,57 @@ def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
             return WeightMatrix(entries=entries, seed=bytes(seed))
 
 
-def weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
-    """Raw accumulators y = M @ x before truncation; exact int64."""
+def _weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
+    # The one weighting matmul, unchecked.  float64 BLAS is exact: every
+    # partial sum is an integer of at most accumulator_max(64) = 14400.
+    return np.rint(x.astype(np.float64) @ matrix.entries.T.astype(np.float64)
+                   ).astype(np.int64)
+
+
+def _weighting(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
+    return (_weighting_sums(matrix, x) >> TRUNCATE_SHIFT) & 0xF
+
+
+def _check_nibbles(matrix: WeightMatrix, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.int64)
-    if arr.shape != (matrix.dim,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != matrix.dim:
         raise ParameterError(
             f"vector length {arr.shape} does not match matrix dim {matrix.dim}"
         )
-    if arr.min() < 0 or arr.max() > NIBBLE_MAX:
+    if arr.size and (arr.min() < 0 or arr.max() > NIBBLE_MAX):
         raise ValueError("nibble values must be in [0, 15]")
-    return matrix.entries @ arr
+    return arr
+
+
+def weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
+    """Raw accumulators y = M @ x before truncation, exact; vector or batch."""
+    return _weighting_sums(matrix, _check_nibbles(matrix, x))
 
 
 def weighting(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
-    """Truncated weighting t_i = ((M @ x)_i >> 10) & 0xF."""
-    return (weighting_sums(matrix, x) >> TRUNCATE_SHIFT) & 0xF
+    """Truncated weighting t_i = ((M @ x)_i >> 10) & 0xF; vector or batch."""
+    return _weighting(matrix, _check_nibbles(matrix, x))
 
 
 def heavyhash(params: HeavyHashParams, matrix: WeightMatrix, data: bytes) -> bytes:
     """Full HeavyHash of a byte string; 32-byte digest."""
-    if matrix.dim != params.matrix_dim:
-        raise ParameterError(
-            f"matrix dim {matrix.dim} does not match params matrix_dim {params.matrix_dim}"
-        )
-    if matrix.dim != MATRIX_DIM:
-        raise ParameterError(
-            f"heavyhash needs a {MATRIX_DIM}-wide matrix to weight a "
-            f"{DIGEST_SIZE}-byte digest"
-        )
-    for _ in range(params.rounds):
-        inner = hashlib.sha256(data).digest()
-        x = digest_to_nibbles(inner)
-        t = weighting(matrix, x)
-        data = hashlib.sha256(nibbles_to_digest(t ^ x)).digest()
-    return data
+    return heavyhash_many(params, matrix, [data])[0]
 
 
 def heavyhash_many(params: HeavyHashParams, matrix: WeightMatrix,
                    inputs: list[bytes]) -> list[bytes]:
-    """Vectorized heavyhash over a batch of inputs.
+    """HeavyHash of every input, in order.
 
-    The batched matmul runs in float64 for BLAS speed; every intermediate is
-    an integer far below 2**53, so the products and partial sums are exact
-    and the result is bit-identical to the scalar path.
+    Each round weights the nibbles of the whole batch in one matrix product.
     """
-    if matrix.dim != params.matrix_dim or matrix.dim != MATRIX_DIM:
-        raise ParameterError("batched heavyhash needs the consensus 64-wide matrix")
-    if not inputs:
-        return []
-    mt = matrix.entries.astype(np.float64).T
+    if matrix.dim != MATRIX_DIM:
+        raise ParameterError(f"heavyhash needs a {MATRIX_DIM}-wide matrix")
     data = list(inputs)
-    n = len(data)
     for _ in range(params.rounds):
-        inner = b"".join(hashlib.sha256(d).digest() for d in data)
-        raw = np.frombuffer(inner, dtype=np.uint8).reshape(n, DIGEST_SIZE).astype(np.int64)
-        x = np.empty((n, 2 * DIGEST_SIZE), dtype=np.int64)
-        x[:, 0::2] = raw >> 4
-        x[:, 1::2] = raw & 0x0F
-        y = np.rint(x.astype(np.float64) @ mt).astype(np.int64)
-        z = ((y >> TRUNCATE_SHIFT) & 0xF) ^ x
-        packed = ((z[:, 0::2] << 4) | z[:, 1::2]).astype(np.uint8).tobytes()
+        x = _split_nibbles(b"".join(hashlib.sha256(d).digest() for d in data))
+        packed = _pack_nibbles(_weighting(matrix, x) ^ x)
         data = [
-            hashlib.sha256(packed[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE]).digest()
-            for i in range(n)
+            hashlib.sha256(packed[i:i + DIGEST_SIZE]).digest()
+            for i in range(0, len(packed), DIGEST_SIZE)
         ]
     return data

@@ -307,7 +307,6 @@ class _Engine:
         self.divergences: list[DivergenceReport] = []
         self.rates = {m.miner_id: m.fraction / sc.mean_block_interval
                       for m in sc.miners}
-        self.created = 0
         self.held: dict[int, list] = {}  # partition index -> [(node, block_id)]
 
         att = sc.attacker()
@@ -360,19 +359,12 @@ class _Engine:
         _, w = active
         return (a in w.side) == (b in w.side)
 
-    def _is_descendant(self, block_id: int, ancestor_id: int) -> bool:
-        info = self.blocks[block_id]
-        target = self.blocks[ancestor_id]
-        while info.height > target.height:
-            info = self.blocks[info.parent]
-        return info.block_id == ancestor_id
-
     def _adopt(self, node_id: str, block_id: int) -> None:
         node = self.nodes[node_id]
         info = self.blocks[block_id]
         if info.height > node.height:  # strict: equal height keeps first-seen
-            if not self._is_descendant(block_id, node.tip):
-                node.reorgs += 1
+            if self._fork_point(block_id, node.tip) != node.height:
+                node.reorgs += 1  # the old tip is not an ancestor
             node.tip = info.block_id
             node.height = info.height
 
@@ -391,7 +383,6 @@ class _Engine:
         info = _BlockInfo(len(self.blocks), parent,
                           self.blocks[parent].height + 1, miner, t, published)
         self.blocks.append(info)
-        self.created += 1
         self.records.append(BlockRecord(info.block_id, parent, info.height,
                                         miner, t, not published))
         return info
@@ -402,7 +393,7 @@ class _Engine:
         if self.attacker_id is not None and (self.att_done or self.att_gave_up):
             return False
         hb = self.sc.horizon_blocks
-        return hb is None or self.created < hb
+        return hb is None or len(self.records) < hb
 
     def _check_attack_trigger(self, t: float) -> None:
         if (self.attacker_id is None or self.att_started or self.att_gave_up):
@@ -507,16 +498,6 @@ class _Engine:
             times.append(info.time)
             info = self.blocks[info.parent]
         times.reverse()
-        intervals = [b - a for a, b in zip([0.0] + times, times)]
-        by_miner: dict[str, int] = {}
-        for r in self.records:
-            by_miner[r.miner] = by_miner.get(r.miner, 0) + 1
-        stats = {
-            "blocks_created": self.created,
-            "best_height": best.height,
-            "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
-            "blocks_by_miner": by_miner,
-        }
         return SimResult(
             node_tips={n: s.tip for n, s in self.nodes.items()},
             node_heights={n: s.height for n, s in self.nodes.items()},
@@ -524,8 +505,23 @@ class _Engine:
             attacker_success=self.success,
             timeline=tuple(self.records),
             divergences=tuple(self.divergences),
-            stats=stats,
+            stats=_run_stats(self.records, times),
         )
+
+
+def _run_stats(records: list[BlockRecord], best_times: list[float]) -> dict:
+    """Run summary of both modes from every block created and the times of
+    the best chain's blocks after genesis (at t = 0), oldest first."""
+    intervals = [b - a for a, b in zip([0.0] + best_times, best_times)]
+    by_miner: dict[str, int] = {}
+    for r in records:
+        by_miner[r.miner] = by_miner.get(r.miner, 0) + 1
+    return {
+        "blocks_created": len(records),
+        "best_height": len(best_times),
+        "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
+        "blocks_by_miner": by_miner,
+    }
 
 
 def run_scenario(scenario: SimScenario) -> SimResult:
@@ -561,10 +557,17 @@ class AttackStats:
                  "this model, unlike the Poisson-corrected Nakamoto value")
 
 
+# Draws per replica taken from the generator at once.  Part of the stream
+# layout: it fixes which draw belongs to which (replica, step), and the
+# nested-success property of attack_success_rate depends on that.
+_DRAW_CHUNK = 256
+# Replicas per Monte-Carlo shard; shard i runs under seed + i.
+_SHARD_SIZE = 25_000
+
+
 def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
                         horizon_blocks: int = 10_000,
-                        abandon_margin: int = DEFAULT_ABANDON_MARGIN,
-                        chunk: int = 256) -> AttackStats:
+                        abandon_margin: int = DEFAULT_ABANDON_MARGIN) -> AttackStats:
     """Vectorized replica of the engine's double-spend race.
 
     Each replica walks the attacker/honest Bernoulli race from a z-block
@@ -586,7 +589,7 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
     cap = z + abandon_margin if q < 0.5 else None
     steps = 0
     while undecided.any() and steps < budget:
-        k = min(chunk, budget - steps)
+        k = min(_DRAW_CHUNK, budget - steps)
         draws = rng.random((runs, k))
         for j in range(k):
             att = draws[:, j] < q
@@ -611,18 +614,16 @@ def success_grid(qs: list[float], zs: list[int], runs: int, seed: int = 0,
 
 
 def attack_monte_carlo(q: float, z: int, runs: int, seed: int = 0,
-                       threads: int = 1, shard_size: int = 25_000,
-                       **kwargs) -> AttackStats:
+                       threads: int = 1, **kwargs) -> AttackStats:
     """Sharded race Monte Carlo; shard i runs under seed + i.
 
-    The shard layout depends only on `runs` and `shard_size`, so the result
-    is identical for any thread count.
+    The shard layout depends only on `runs`, so the result is identical for
+    any thread count.
     """
-    sizes = []
-    left = runs
-    while left > 0:
-        sizes.append(min(shard_size, left))
-        left -= shard_size
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    sizes = [min(_SHARD_SIZE, runs - start)
+             for start in range(0, runs, _SHARD_SIZE)]
     if threads > 1 and len(sizes) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -644,22 +645,18 @@ def attack_monte_carlo(q: float, z: int, runs: int, seed: int = 0,
 # integrated mode: real HeavyHash mining through the chain machinery
 
 
-def integrated_run(scenario: SimScenario, compact_target: Optional[int] = None):
+def integrated_run(scenario: SimScenario):
     """Cross-check mode: mine a real chain with real HeavyHash at an easy
-    fixed target, with winners drawn by hashrate share.  Returns the result
-    plus the fully validated ChainIndex."""
+    fixed target (2**253), with winners drawn by hashrate share.  Returns
+    the result plus the fully validated ChainIndex."""
     from .chain import ChainIndex, make_genesis
     from .pow import compact_from_target
 
-    if scenario.attacker() is not None or scenario.partitions:
-        raise ConfigurationError(
-            "integrated mode supports honest, unpartitioned scenarios only")
-    if scenario.horizon_blocks is None or scenario.horizon_blocks > 500:
-        raise ConfigurationError("integrated mode needs horizon_blocks <= 500")
+    # SimScenario holds integrated scenarios to honest runs of <= 500 blocks.
+    if not scenario.integrated:
+        raise ConfigurationError("integrated_run needs an integrated scenario")
 
-    bits = compact_target if compact_target is not None \
-        else compact_from_target(1 << 253)
-    index = ChainIndex(make_genesis(bits, timestamp=0))
+    index = ChainIndex(make_genesis(compact_from_target(1 << 253), timestamp=0))
     rng = random.Random(scenario.seed)
     ids = [m.miner_id for m in scenario.miners]
     weights = [m.fraction for m in scenario.miners]
@@ -679,23 +676,15 @@ def integrated_run(scenario: SimScenario, compact_target: Optional[int] = None):
         records.append(BlockRecord(n + 1, n, index.tip_entry().height, miner,
                                    float(ts), False))
         last_ts = ts
-    by_miner: dict[str, int] = {}
-    for r in records:
-        by_miner[r.miner] = by_miner.get(r.miner, 0) + 1
-    intervals = [b.time - a.time for a, b in zip(records, records[1:])]
-    stats = {
-        "blocks_created": len(records),
-        "best_height": index.tip_entry().height,
-        "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
-        "blocks_by_miner": by_miner,
-    }
+    # Every block extends the tip, so all of them form the best chain.
+    tip = records[-1]
     result = SimResult(
-        node_tips={i: index.tip_entry().seq for i in ids},
-        node_heights={i: index.tip_entry().height for i in ids},
+        node_tips={i: tip.block_id for i in ids},
+        node_heights={i: tip.height for i in ids},
         reorg_counts={i: 0 for i in ids},
         attacker_success=None,
         timeline=tuple(records),
         divergences=(),
-        stats=stats,
+        stats=_run_stats(records, [r.time for r in records]),
     )
     return result, index

@@ -34,6 +34,7 @@ from .heavyhash import (
     TRUNCATE_SHIFT,
     WeightMatrix,
     accumulator_max,
+    weighting,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -483,23 +484,26 @@ def analog_weighting(matrix, x, noise: NoiseModel = NoiseModel(),
     return est[0], intens[0]
 
 
-def fidelity_sweep(matrix, grid: list[NoiseModel], samples: int = 1000,
-                   seed: int = 0) -> list[dict]:
+def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
+                   samples: int = 1000, seed: int = 0) -> list[dict]:
     """Nibble and end-to-end error rates of the analog path over a noise grid.
 
     The same `samples` random nibble vectors are scored at every grid point
     (noise draws differ per point, deterministically from the seed).  A
     sample counts as an end-to-end HeavyHash mismatch when any estimated
     nibble differs: the digests agree exactly when the pre-hash bytes do.
+    The digital reference needs the integer matrix, so `matrix` must be a
+    WeightMatrix.
     """
+    if not isinstance(matrix, WeightMatrix):
+        raise ValueError("fidelity_sweep needs a WeightMatrix, got "
+                         f"{type(matrix).__name__}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    synth = _as_synthesis(matrix)
+    synth = synthesis_for(matrix)
     base = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     xs = base.integers(0, NIBBLE_MAX + 1, size=(samples, synth.dim))
-    entries = matrix.entries if isinstance(matrix, WeightMatrix) \
-        else np.asarray(matrix, dtype=np.int64)
-    digital = ((xs @ entries.T) >> TRUNCATE_SHIFT) & 0xF
+    digital = weighting(matrix, xs)
     rows = []
     for idx, noise in enumerate(grid):
         point_seed = np.random.SeedSequence(entropy=seed, spawn_key=(idx,))

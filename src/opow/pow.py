@@ -176,16 +176,22 @@ def retarget(timestamps: list[int], current: int, params: RetargetParams) -> int
     return max(1, min(new_target, TARGET_SPACE - 1))
 
 
+def is_retarget_boundary(parent_height: int, params: RetargetParams) -> bool:
+    """Whether a child of a block at this height gets a new target: the
+    parent sits on a positive window boundary."""
+    return parent_height != 0 and parent_height % params.window == 0
+
+
 def scheduled_target(parent_height: int, parent_target: int,
                      timestamp_at: Callable[[int], int],
                      params: RetargetParams) -> int:
     """Target a child of the given parent must use.
 
-    Retargets when the parent sits on a positive window boundary, using the
+    Retargets on a window boundary (see `is_retarget_boundary`), using the
     window+1 timestamps ending at the parent; the result is squeezed through
     the compact encoding so consensus always compares encodable targets.
     """
-    if parent_height == 0 or parent_height % params.window != 0:
+    if not is_retarget_boundary(parent_height, params):
         return parent_target
     ts = [timestamp_at(h) for h in
           range(parent_height - params.window, parent_height + 1)]

@@ -19,6 +19,7 @@ from opow.pow import (
     RetargetParams,
     compact_from_target,
     meets_target,
+    mine,
     serialize_header,
     target_from_compact,
     work_from_target,
@@ -123,6 +124,29 @@ def test_orphan_pool_and_cascade(index):
     assert report.accepted_orphans == (block_id(grand),)
     assert index.tip == block_id(grand)
     assert index.tip_entry().height == 4
+
+
+def test_deep_orphan_chain_in_reverse_order(index):
+    # Every block but the first waits in the orphan pool; the first one
+    # then connects a 1,199-deep pooled chain in a single drain.
+    tip = index.genesis_hash
+    for i in range(1200):
+        template = index.header_template(tip, (), timestamp=600 * (i + 1))
+        nonce = mine(template, index.matrix_for(tip),
+                     target_from_compact(template.compact_target), 0, 1 << 16,
+                     batch=64)
+        block = Block(template.with_nonce(nonce))
+        assert index.add_block(block).verdict is Verdict.VALID
+        tip = block_id(block)
+    blocks = [index.entry(h).block for h in index.best_chain()[1:]]
+    replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
+    for block in reversed(blocks[1:]):
+        assert replayed.add_block(block).verdict is Verdict.ORPHAN
+    report = replayed.add_block(blocks[0])
+    assert report.verdict is Verdict.VALID
+    assert len(report.accepted_orphans) == 1199
+    assert replayed.tip == tip
+    assert replayed.tip_entry().height == 1200
 
 
 # -- fork choice -----------------------------------------------------------------
@@ -246,6 +270,19 @@ def test_chain_retarget_boundary():
         2 * target_from_compact(EASY_BITS)))
     assert target_from_compact(template.compact_target) == want
     assert extend(index, tip, 6000).verdict is Verdict.VALID
+
+
+def test_off_boundary_child_keeps_noncanonical_parent_bits():
+    bits = 0x21002000  # 2**253 with one exponent byte more than EASY_BITS
+    assert target_from_compact(bits) == target_from_compact(EASY_BITS)
+    index = ChainIndex(make_genesis(bits, timestamp=0))
+    template = index.header_template(index.genesis_hash, (), 600)
+    assert template.compact_target == bits
+    canonical = type(template)(template.version, template.parent_hash,
+                               template.payload_commitment, template.timestamp,
+                               EASY_BITS, 0)
+    assert index.add_block(Block(canonical, ())).verdict is Verdict.BAD_TARGET
+    assert extend(index, index.genesis_hash, 600).verdict is Verdict.VALID
 
 
 # -- serialization ------------------------------------------------------------------

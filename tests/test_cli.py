@@ -200,6 +200,15 @@ def test_attack_engine_mode_scenario_records(tmp_path):
     assert summary["successes"] == sum(bool(r["attacker_success"]) for r in runs)
 
 
+def test_attack_rejects_nonpositive_runs(tmp_path):
+    for runs in (0, -5):
+        for mode in ("q = 0.3\nz = 3\n", "miners = h:0.7, a:0.3:attacker\n"
+                                          "horizon_blocks = 50\n"):
+            code, out = run(tmp_path, "attack", f"{mode}runs = {runs}\n")
+            assert code == 2
+            assert not out.exists()
+
+
 def test_attack_rejects_mixed_modes(tmp_path):
     code, _ = run(tmp_path, "attack", "miners = a:1.0\nq = 0.3\nz = 2\n")
     assert code == 2

@@ -178,6 +178,11 @@ def test_weighting_bounds_and_oracle(m0):
         t = weighting(m0, x)
         assert t.min() >= 0 and t.max() <= 15
         assert t.tolist() == ref_weighting(m0.entries.tolist(), x.tolist())
+    xs = rng.integers(0, 16, size=(50, 64))
+    assert weighting(m0, xs).tolist() == [
+        ref_weighting(m0.entries.tolist(), x.tolist()) for x in xs]
+    assert (weighting_sums(m0, xs) == np.vstack([weighting_sums(m0, x)
+                                                 for x in xs])).all()
 
 
 def test_weighting_dimension_mismatch(m0):
@@ -216,25 +221,23 @@ def test_rounds_compose(m0):
 
 def test_heavyhash_many_matches_scalar(m0):
     rng = random.Random(12)
+    entries = m0.entries.tolist()
     inputs = [rng.randbytes(rng.randrange(0, 120)) for _ in range(200)]
-    batched = heavyhash_many(PARAMS, m0, inputs)
-    for data, digest in zip(inputs, batched):
-        assert digest == heavyhash(PARAMS, m0, data)
+    for rounds in (1, 2):
+        params = HeavyHashParams(rounds=rounds)
+        batched = heavyhash_many(params, m0, inputs)
+        for data, digest in zip(inputs, batched):
+            assert digest == ref_heavyhash(entries, data, rounds)
+        assert heavyhash_many(params, m0, inputs[:1]) == batched[:1]
     assert heavyhash_many(PARAMS, m0, []) == []
 
 
 def test_params_validation(m0):
     with pytest.raises(ParameterError):
         HeavyHashParams(rounds=0)
-    with pytest.raises(ParameterError):
-        HeavyHashParams(matrix_dim=32)
-    with pytest.raises(ParameterError):
-        HeavyHashParams(truncate_shift=8)
     demo = generate_matrix(bytes(32), dim=16)
     with pytest.raises(ParameterError):
         heavyhash(PARAMS, demo, b"")
-    with pytest.raises(ParameterError):
-        heavyhash(HeavyHashParams(matrix_dim=16), demo, b"")
 
 
 def test_xor_recombination_injective(m0):

@@ -262,3 +262,7 @@ def test_integrated_mode_builds_a_real_valid_chain():
     counts = result.stats["blocks_by_miner"]
     assert counts.get("a", 0) > counts.get("b", 0)
     assert run_scenario(sc).stats == result.stats
+    # Same summary as the engine: genesis sits at t = 0, tips are block ids.
+    last = result.timeline[-1]
+    assert result.stats["mean_interval"] == pytest.approx(last.time / 25)
+    assert result.node_tips == {"a": last.block_id, "b": last.block_id}

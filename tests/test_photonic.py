@@ -261,3 +261,8 @@ def test_fidelity_sweep_zero_noise_row_and_determinism(m0, m0_synthesis):
     assert rows[1]["nibble_error_rate"] > 0.0
     again = fidelity_sweep(m0, grid, samples=120, seed=3)
     assert rows == again
+
+
+def test_fidelity_sweep_needs_the_integer_matrix(m0_synthesis):
+    with pytest.raises(ValueError, match="WeightMatrix"):
+        fidelity_sweep(m0_synthesis, [NoiseModel()], samples=10)
