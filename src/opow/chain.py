@@ -145,7 +145,7 @@ class ChainIndex:
         self.hash_params = hash_params
         self._entries: dict[bytes, _Entry] = {}
         self._children: dict[bytes, list[bytes]] = {}
-        self._orphans: dict[bytes, list[Block]] = {}
+        self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
         self._matrices: dict[bytes, WeightMatrix] = {}
         self._seq = 0
         # Genesis is the trust anchor: stored as-is, never PoW-validated.
@@ -221,8 +221,13 @@ class ChainIndex:
         return compact_from_target(value)
 
     def validate_block(self, block: Block) -> Verdict:
-        """Consensus checks for a block whose parent is already in the tree."""
+        """Consensus checks; ORPHAN if the parent is not in the tree yet.
+
+        The commitment is checked first, as it needs no parent: a pooled
+        orphan's id then binds its transfers, so the pool can key on it."""
         header = block.header
+        if header.payload_commitment != transfers_commitment(block.transfers):
+            return Verdict.BAD_COMMITMENT
         parent = self._entries.get(header.parent_hash)
         if parent is None:
             return Verdict.ORPHAN
@@ -230,8 +235,6 @@ class ChainIndex:
             return Verdict.BAD_TIMESTAMP
         if header.compact_target != self.scheduled_compact(parent.hash):
             return Verdict.BAD_TARGET
-        if header.payload_commitment != transfers_commitment(block.transfers):
-            return Verdict.BAD_COMMITMENT
         matrix = self.matrix_for(parent.hash)
         digest = heavyhash(self.hash_params, matrix, serialize_header(header))
         if not meets_target(digest, target_from_compact(header.compact_target)):
@@ -257,7 +260,8 @@ class ChainIndex:
 
         verdict = self.validate_block(block)
         if verdict is Verdict.ORPHAN:
-            self._orphans.setdefault(block.header.parent_hash, []).append(block)
+            # A repeat of a pooled orphan keeps its first place in the pool.
+            self._orphans.setdefault(block.header.parent_hash, {}).setdefault(bh, block)
             return AddReport(Verdict.ORPHAN, bh, new_tip=self.tip)
         if verdict is not Verdict.VALID:
             return AddReport(verdict, bh, new_tip=self.tip)
@@ -290,16 +294,15 @@ class ChainIndex:
     def _drain_orphans(self, parent_hash: bytes, accepted: list[bytes]) -> None:
         # Depth first, each parent's orphans in pool order; an explicit stack
         # so a deep pooled chain cannot exhaust the interpreter's.
-        stack = [iter(self._orphans.pop(parent_hash, []))]
+        stack = [iter(self._orphans.pop(parent_hash, {}).items())]
         while stack:
-            block = next(stack[-1], None)
+            bh, block = next(stack[-1], (None, None))
             if block is None:
                 stack.pop()
             elif self.validate_block(block) is Verdict.VALID:
-                bh = block_id(block)
                 self._insert(block, bh)
                 accepted.append(bh)
-                stack.append(iter(self._orphans.pop(bh, [])))
+                stack.append(iter(self._orphans.pop(bh, {}).items()))
 
     def _common_ancestor(self, a_hash: bytes, b_hash: bytes) -> _Entry:
         a = self._entries[a_hash]

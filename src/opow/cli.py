@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default="-",
                         help="result file, '-' for stdout")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sharded workloads")
+                        help="worker threads for the attack Monte Carlo "
+                             "(mine searches on one thread)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("heavyhash", help="hash a hex string")
@@ -179,8 +180,7 @@ def _cmd_mine(args) -> int:
     params = HeavyHashParams(rounds=cfg.get("rounds", 1))
     start = cfg.get("nonce_start", 0)
     count = cfg.get("nonce_count", 1 << 20)
-    nonce = _mine_sharded(template, matrix, target, start, count, params,
-                          args.threads)
+    nonce = mine(template, matrix, target, start, count, params)
     record: dict = {
         "record": "mine",
         "found": nonce is not None,
@@ -198,24 +198,6 @@ def _cmd_mine(args) -> int:
         })
     _emit(args, cfg, [record])
     return EXIT_OK
-
-
-def _mine_sharded(template, matrix, target, start, count, params,
-                  threads: int) -> Optional[int]:
-    # Disjoint contiguous nonce shards; the minimum of the per-shard wins is
-    # the global smallest winning nonce.
-    if threads <= 1 or count < 4096:
-        return mine(template, matrix, target, start, count, params)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [start + (count * i) // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        found = list(pool.map(
-            lambda i: mine(template, matrix, target, bounds[i],
-                           bounds[i + 1] - bounds[i], params),
-            range(threads)))
-    hits = [n for n in found if n is not None]
-    return min(hits) if hits else None
 
 
 _VERIFY_SCHEMA = {
@@ -510,6 +492,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

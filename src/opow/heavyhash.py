@@ -10,9 +10,10 @@ One round over an input byte string:
 The 64x64 weighting matrix M has 4-bit entries, is derived deterministically
 from a 32-byte seed with xoshiro256++, and must be full rank over the
 rationals so the weighting stage does not collapse distinct inputs.  The
-whole consensus path is exact integer arithmetic: every accumulator is
-bounded by 64 * 15 * 15 = 14400 < 2**14, so the weighting matmul is exact
-in float64 BLAS.  `heavyhash_many` holds the one round loop, over a batch of
+whole consensus path is exact integer arithmetic.  The weighting matmul runs
+in float32 and stays exact under any BLAS summation order: every product is
+at most 225 and every partial sum an integer of at most 64 * 225 = 14400,
+below 2**24.  `heavyhash_many` holds the one round loop, over a batch of
 inputs; `heavyhash` is a batch of one.
 """
 
@@ -138,9 +139,9 @@ def identity_matrix(dim: int = MATRIX_DIM) -> WeightMatrix:
 
 
 def _split_nibbles(raw: bytes) -> np.ndarray:
-    # Concatenated digests -> (n, 64) int64, high nibble of each byte first.
-    b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, DIGEST_SIZE).astype(np.int64)
-    out = np.empty((len(b), 2 * DIGEST_SIZE), dtype=np.int64)
+    # Concatenated digests -> (n, 64) uint8, high nibble of each byte first.
+    b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, DIGEST_SIZE)
+    out = np.empty((len(b), 2 * DIGEST_SIZE), dtype=np.uint8)
     out[:, 0::2] = b >> 4
     out[:, 1::2] = b & 0x0F
     return out
@@ -154,7 +155,7 @@ def _pack_nibbles(x: np.ndarray) -> bytes:
 def digest_to_nibbles(digest: bytes) -> np.ndarray:
     """Split a 32-byte digest into 64 nibbles, high nibble of each byte first."""
     _check_digest(digest)
-    return _split_nibbles(bytes(digest))[0]
+    return _split_nibbles(bytes(digest))[0].astype(np.int64)
 
 
 def nibbles_to_digest(nibbles: np.ndarray) -> bytes:
@@ -244,14 +245,21 @@ def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
 
 
 def _weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
-    # The one weighting matmul, unchecked.  float64 BLAS is exact: every
-    # partial sum is an integer of at most accumulator_max(64) = 14400.
-    return np.rint(x.astype(np.float64) @ matrix.entries.T.astype(np.float64)
-                   ).astype(np.int64)
+    # The one weighting matmul, unchecked.  float32 is exact: every partial
+    # sum is an integer of at most accumulator_max(64) = 14400 < 2**24, so
+    # the sums also fit uint16.
+    return (x.astype(np.float32) @ matrix.entries.T.astype(np.float32)
+            ).astype(np.uint16)
 
 
 def _weighting(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
-    return (_weighting_sums(matrix, x) >> TRUNCATE_SHIFT) & 0xF
+    return (_weighting_sums(matrix, x) >> TRUNCATE_SHIFT).astype(np.uint8) & 0xF
+
+
+def _weight_digests(matrix: WeightMatrix, digests: bytes) -> bytes:
+    # One round's middle stage over concatenated digests: t ^ x, packed.
+    x = _split_nibbles(digests)
+    return _pack_nibbles(_weighting(matrix, x) ^ x)
 
 
 def _check_nibbles(matrix: WeightMatrix, x) -> np.ndarray:
@@ -267,12 +275,12 @@ def _check_nibbles(matrix: WeightMatrix, x) -> np.ndarray:
 
 def weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
     """Raw accumulators y = M @ x before truncation, exact; vector or batch."""
-    return _weighting_sums(matrix, _check_nibbles(matrix, x))
+    return _weighting_sums(matrix, _check_nibbles(matrix, x)).astype(np.int64)
 
 
 def weighting(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
     """Truncated weighting t_i = ((M @ x)_i >> 10) & 0xF; vector or batch."""
-    return _weighting(matrix, _check_nibbles(matrix, x))
+    return _weighting(matrix, _check_nibbles(matrix, x)).astype(np.int64)
 
 
 def heavyhash(params: HeavyHashParams, matrix: WeightMatrix, data: bytes) -> bytes:
@@ -290,8 +298,8 @@ def heavyhash_many(params: HeavyHashParams, matrix: WeightMatrix,
         raise ParameterError(f"heavyhash needs a {MATRIX_DIM}-wide matrix")
     data = list(inputs)
     for _ in range(params.rounds):
-        x = _split_nibbles(b"".join(hashlib.sha256(d).digest() for d in data))
-        packed = _pack_nibbles(_weighting(matrix, x) ^ x)
+        packed = _weight_digests(
+            matrix, b"".join(hashlib.sha256(d).digest() for d in data))
         data = [
             hashlib.sha256(packed[i:i + DIGEST_SIZE]).digest()
             for i in range(0, len(packed), DIGEST_SIZE)

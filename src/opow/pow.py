@@ -204,7 +204,11 @@ def mine(template: BlockHeader, matrix: WeightMatrix, target: int,
          params: HeavyHashParams = HeavyHashParams(),
          batch: int = 1024) -> Optional[int]:
     """Smallest nonce in [nonce_start, nonce_start + nonce_count) whose
-    header HeavyHash meets the target, or None if the range is exhausted."""
+    header HeavyHash meets the target, or None if the range is exhausted.
+
+    One ascending search in batches of `batch` nonces.  Digests compare as
+    bytes with the target's 32-byte big-endian form, which orders as the
+    integers do."""
     if target_from_compact(template.compact_target) != target:
         raise ValueError("template compact_target does not encode the target")
     if nonce_count < 0 or nonce_start < 0 or nonce_start + nonce_count > _U64:
@@ -212,13 +216,14 @@ def mine(template: BlockHeader, matrix: WeightMatrix, target: int,
     prefix = struct.pack(_PREFIX_FORMAT, template.version, template.parent_hash,
                          template.payload_commitment, template.timestamp,
                          template.compact_target)
+    target_bytes = target.to_bytes(DIGEST_SIZE, "big")
     end = nonce_start + nonce_count
     nonce = nonce_start
     while nonce < end:
         chunk = min(batch, end - nonce)
         headers = [prefix + struct.pack("<Q", nonce + i) for i in range(chunk)]
         for i, digest in enumerate(heavyhash_many(params, matrix, headers)):
-            if meets_target(digest, target):
+            if digest < target_bytes:
                 return nonce + i
         nonce += chunk
     return None

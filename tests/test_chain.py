@@ -149,6 +149,37 @@ def test_deep_orphan_chain_in_reverse_order(index):
     assert replayed.tip_entry().height == 1200
 
 
+def test_repeated_orphan_is_pooled_once(index):
+    first = index.add_block(index.mine_block(index.genesis_hash, (), 600))
+    b1 = index.entry(first.block_hash).block
+    b2 = index.mine_block(first.block_hash, (), timestamp=1200)
+    c2 = index.mine_block(first.block_hash, (), timestamp=1300)
+    fresh = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
+    # The repeat of b2 is still reported as an orphan, and keeps b2's first
+    # place in the pool, ahead of its sibling c2.
+    for block in (b2, c2, b2):
+        assert fresh.add_block(block).verdict is Verdict.ORPHAN
+    report = fresh.add_block(b1)
+    assert report.verdict is Verdict.VALID
+    assert report.accepted_orphans == (block_id(b2), block_id(c2))
+    assert [fresh.entry(block_id(b)).seq for b in (b1, b2, c2)] == [1, 2, 3]
+    assert fresh.tip == block_id(b2)
+
+
+def test_bogus_copy_of_an_orphan_cannot_displace_it(index):
+    first = index.add_block(index.mine_block(index.genesis_hash, (), 600))
+    b1 = index.entry(first.block_hash).block
+    b2 = index.mine_block(first.block_hash, (Transfer(1, 2, 3, 4),), 1200)
+    bogus = Block(b2.header, (Transfer(1, 2, 99, 4),))  # same header id
+    fresh = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
+    # The commitment needs no parent, so the copy is refused, not pooled.
+    assert fresh.add_block(bogus).verdict is Verdict.BAD_COMMITMENT
+    assert fresh.add_block(b2).verdict is Verdict.ORPHAN
+    report = fresh.add_block(b1)
+    assert report.accepted_orphans == (block_id(b2),)
+    assert fresh.entry(block_id(b2)).block.transfers == b2.transfers
+
+
 # -- fork choice -----------------------------------------------------------------
 
 

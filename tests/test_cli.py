@@ -107,6 +107,7 @@ def test_mine_threads_match_single(tmp_path):
     _, out4 = run(tmp_path, "mine", cfg, threads=4)
     rec4 = read_records(out4)[1]
     assert rec1["nonce"] == rec4["nonce"]
+    assert rec1 == rec4
 
 
 # -- chainsim ------------------------------------------------------------------
@@ -207,6 +208,14 @@ def test_attack_rejects_nonpositive_runs(tmp_path):
             code, out = run(tmp_path, "attack", f"{mode}runs = {runs}\n")
             assert code == 2
             assert not out.exists()
+
+
+def test_threads_below_one_exit_2(tmp_path):
+    for threads in (0, -1):
+        code, out = run(tmp_path, "attack", "q = 0.3\nz = 3\nruns = 100\n",
+                        threads=threads)
+        assert code == 2
+        assert not out.exists()
 
 
 def test_attack_rejects_mixed_modes(tmp_path):

@@ -11,6 +11,8 @@ from opow.heavyhash import (
     Xoshiro256PlusPlus,
     _draw_entries,
     _full_rank_mod_p,
+    _weight_digests,
+    accumulator_max,
     digest_to_nibbles,
     generate_matrix,
     heavyhash,
@@ -24,6 +26,7 @@ from opow.heavyhash import (
 from reference_oracles import (
     ref_heavyhash,
     ref_matrix,
+    ref_nibbles,
     ref_rank_is_full,
     ref_weighting,
     ref_xoshiro_words,
@@ -230,6 +233,28 @@ def test_heavyhash_many_matches_scalar(m0):
             assert digest == ref_heavyhash(entries, data, rounds)
         assert heavyhash_many(params, m0, inputs[:1]) == batched[:1]
     assert heavyhash_many(PARAMS, m0, []) == []
+
+
+def test_float32_kernel_exact_at_the_accumulator_bound(m0):
+    # float32 holds every integer only up to 2**24; the all-15 matrix on an
+    # all-0xFF digest drives every accumulator to its bound, 14400.
+    full = WeightMatrix(entries=np.full((64, 64), 15), seed=bytes(32))
+    assert (weighting_sums(full, np.full(64, 15)) == accumulator_max(64)).all()
+    rng = random.Random(15)
+    digests = [b"\xff" * 32] + [rng.randbytes(32) for _ in range(299)]
+    packed = _weight_digests(full, b"".join(digests))
+    assert packed[:32] == b"\x11" * 32  # t = (14400 >> 10) & 0xF = 14; 14 ^ 15 = 1
+    for i, d in enumerate(digests):
+        x = ref_nibbles(d)
+        z = [t ^ v for t, v in zip(ref_weighting(full.entries.tolist(), x), x)]
+        assert packed[32 * i:32 * i + 32] == bytes(
+            (z[2 * j] << 4) | z[2 * j + 1] for j in range(32))
+    # Batches long enough for BLAS's blocked path, through heavyhash_many.
+    inputs = [rng.randbytes(88) for _ in range(300)]
+    for matrix in (full, m0):
+        entries = matrix.entries.tolist()
+        assert heavyhash_many(PARAMS, matrix, inputs) == [
+            ref_heavyhash(entries, data) for data in inputs]
 
 
 def test_params_validation(m0):
