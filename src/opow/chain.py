@@ -163,9 +163,6 @@ class ChainIndex:
     def entry(self, block_hash: bytes) -> _Entry:
         return self._entries[block_hash]
 
-    def height_of(self, block_hash: bytes) -> int:
-        return self._entries[block_hash].height
-
     def cumulative_work_of(self, block_hash: bytes) -> int:
         return self._entries[block_hash].cumulative_work
 
@@ -220,14 +217,10 @@ class ChainIndex:
                                  lambda h: stamps[h], self.params)
         return compact_from_target(value)
 
-    def validate_block(self, block: Block) -> Verdict:
-        """Consensus checks; ORPHAN if the parent is not in the tree yet.
-
-        The commitment is checked first, as it needs no parent: a pooled
-        orphan's id then binds its transfers, so the pool can key on it."""
+    def _validate_against_parent(self, block: Block) -> Verdict:
+        """Consensus checks against the parent; ORPHAN if it is not in the
+        tree yet.  `add_block` has checked the payload commitment already."""
         header = block.header
-        if header.payload_commitment != transfers_commitment(block.transfers):
-            return Verdict.BAD_COMMITMENT
         parent = self._entries.get(header.parent_hash)
         if parent is None:
             return Verdict.ORPHAN
@@ -253,12 +246,19 @@ class ChainIndex:
     # -- insertion -------------------------------------------------------
 
     def add_block(self, block: Block) -> AddReport:
-        """Validate and insert; orphans are pooled until their parent shows up."""
+        """Validate and insert; orphans are pooled until their parent shows up.
+
+        The commitment is checked first, as it needs no parent.  The id
+        hashes only the header, so this is what refuses a copy of a block in
+        the tree or the pool that carries other transfers, and what lets the
+        pool key on the id."""
         bh = block_id(block)
+        if block.header.payload_commitment != transfers_commitment(block.transfers):
+            return AddReport(Verdict.BAD_COMMITMENT, bh, new_tip=self.tip)
         if bh in self._entries:
             return AddReport(Verdict.VALID, bh, new_tip=self.tip)
 
-        verdict = self.validate_block(block)
+        verdict = self._validate_against_parent(block)
         if verdict is Verdict.ORPHAN:
             # A repeat of a pooled orphan keeps its first place in the pool.
             self._orphans.setdefault(block.header.parent_hash, {}).setdefault(bh, block)
@@ -299,7 +299,7 @@ class ChainIndex:
             bh, block = next(stack[-1], (None, None))
             if block is None:
                 stack.pop()
-            elif self.validate_block(block) is Verdict.VALID:
+            elif self._validate_against_parent(block) is Verdict.VALID:
                 self._insert(block, bh)
                 accepted.append(bh)
                 stack.append(iter(self._orphans.pop(bh, {}).items()))

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: heavyhash, mine, verify, chainsim, attack, photonic, econ.
-Everything but `heavyhash` is driven by a key=value config file; results go
-to --output (default stdout) as one JSON header record followed by one
-record per result line.
+`heavyhash` hashes a hex argument and writes the raw digest hex.  Every
+other subcommand is a row of `_COMMANDS`: a key=value config file read
+through the row's schema, and a handler that turns it into result records.
+Results go to --output (default stdout) as one JSON header record followed
+by one record per result line.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/usage error,
 3 internal numeric failure.
@@ -12,8 +13,10 @@ Exit codes: 0 success, 1 verification failure, 2 configuration/usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,44 +82,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the identity matrix (double SHA-256)")
     p.add_argument("--rounds", type=int, default=1)
 
-    for name, help_text in [
-            ("mine", "search a nonce range for a winning header"),
-            ("verify", "re-check the proof of work of a header"),
-            ("chainsim", "constant-hashrate retarget convergence run"),
-            ("attack", "double-spend race Monte Carlo"),
-            ("photonic", "analog weighting noise sweep"),
-            ("econ", "CAPEX/OPEX economics tables")]:
+    for name, (help_text, _, _) in _COMMANDS.items():
         sub.add_parser(name, help=help_text)
     return parser
 
 
-def _open_output(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _require_config(args) -> str:
-    if not args.config:
-        raise ConfigError(f"subcommand {args.command!r} needs --config")
-    return args.config
-
-
-def _emit(args, config: dict, records: list[dict]) -> None:
-    fp, owned = _open_output(args.output)
+def _write_output(path: str, write: Callable) -> None:
+    """Hand --output ('-' is stdout) to `write`; a failed write is a usage error."""
     try:
-        configio.write_records(
-            fp, [configio.header_record(args.command, args.seed, config)] + records)
-    finally:
-        if owned:
-            fp.close()
+        if path == "-":
+            write(sys.stdout)
+        else:
+            with open(path, "w", encoding="utf-8") as fp:
+                write(fp)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_heavyhash(args) -> int:
+def _heavyhash(args) -> int:
     try:
         data = bytes.fromhex(args.input_hex)
         seed = bytes.fromhex(args.matrix_seed)
@@ -127,13 +110,30 @@ def _cmd_heavyhash(args) -> int:
     matrix = identity_matrix() if args.identity else generate_matrix(seed)
     params = HeavyHashParams(rounds=args.rounds)
     digest = heavyhash(params, matrix, data)
-    fp, owned = _open_output(args.output)
-    try:
-        fp.write(digest.hex() + "\n")
-    finally:
-        if owned:
-            fp.close()
+    _write_output(args.output, lambda fp: fp.write(digest.hex() + "\n"))
     return EXIT_OK
+
+
+def _run_command(args) -> int:
+    """Load the config, run the handler, write header and records.
+
+    The exit code is 0 unless a record says `"valid": false` (only `verify`
+    makes one): its verdict then goes to stderr and the exit code is 1."""
+    if not args.config:
+        raise ConfigError(f"subcommand {args.command!r} needs --config")
+    _, schema, handler = _COMMANDS[args.command]
+    cfg = configio.load_config(args.config, schema)
+    records = handler(args, cfg)
+    records.insert(0, configio.header_record(args.command, args.seed, cfg))
+    _write_output(args.output, lambda fp: configio.write_records(fp, records))
+    rejected = [r["verdict"] for r in records if r.get("valid") is False]
+    for verdict in rejected:
+        print(verdict, file=sys.stderr)
+    return EXIT_VERIFY_FAILED if rejected else EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# config-driven subcommands: each handler takes (args, cfg), returns records
 
 
 _MINE_SCHEMA = {
@@ -163,8 +163,7 @@ def _resolve_target(cfg: dict) -> int:
     return target_from_compact(cfg["target_bits"])
 
 
-def _cmd_mine(args) -> int:
-    cfg = configio.load_config(_require_config(args), _MINE_SCHEMA)
+def _mine(args, cfg: dict) -> list[dict]:
     target = _resolve_target(cfg)
     parent = cfg.get("parent_hash", _ZERO_SEED)
     template = BlockHeader(
@@ -196,8 +195,7 @@ def _cmd_mine(args) -> int:
             "header_hex": serialize_header(header).hex(),
             "trials": nonce - start + 1,
         })
-    _emit(args, cfg, [record])
-    return EXIT_OK
+    return [record]
 
 
 _VERIFY_SCHEMA = {
@@ -207,8 +205,7 @@ _VERIFY_SCHEMA = {
 }
 
 
-def _cmd_verify(args) -> int:
-    cfg = configio.load_config(_require_config(args), _VERIFY_SCHEMA)
+def _verify(args, cfg: dict) -> list[dict]:
     if "header_hex" not in cfg:
         raise ConfigError("verify needs header_hex")
     header = deserialize_header(cfg["header_hex"])
@@ -218,22 +215,15 @@ def _cmd_verify(args) -> int:
     try:
         target = target_from_compact(header.compact_target)
     except ValueError:
-        _emit(args, cfg, [{"record": "verify", "valid": False,
-                           "verdict": "bad-target"}])
-        print("bad-target", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        return [{"record": "verify", "valid": False, "verdict": "bad-target"}]
     digest = heavyhash(params, matrix, serialize_header(header))
     ok = meets_target(digest, target)
-    _emit(args, cfg, [{
+    return [{
         "record": "verify",
         "valid": ok,
         "verdict": "valid" if ok else "bad-pow",
         "digest": digest.hex(),
-    }])
-    if not ok:
-        print("bad-pow", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    }]
 
 
 _CHAINSIM_SCHEMA = {
@@ -247,8 +237,7 @@ _CHAINSIM_SCHEMA = {
 }
 
 
-def _cmd_chainsim(args) -> int:
-    cfg = configio.load_config(_require_config(args), _CHAINSIM_SCHEMA)
+def _chainsim(args, cfg: dict) -> list[dict]:
     hashrate = cfg.get("hashrate", 1.0e6)
     initial_interval = cfg.get("initial_interval", 9600.0)
     params = RetargetParams(window=cfg.get("window", 64),
@@ -257,10 +246,12 @@ def _cmd_chainsim(args) -> int:
     n_windows = cfg.get("n_windows", 6)
     if hashrate <= 0 or initial_interval <= 0 or n_windows <= 0:
         raise ConfigError("hashrate, initial_interval, n_windows must be positive")
-    initial_target = int(TARGET_SPACE / (hashrate * initial_interval))
-    if not 0 < initial_target < TARGET_SPACE:
+    # A tiny hashrate * interval overflows the quotient to inf, and int(inf)
+    # raises; such a target is unusable anyway.
+    quotient = TARGET_SPACE / (hashrate * initial_interval)
+    if not (math.isfinite(quotient) and 0 < int(quotient) < TARGET_SPACE):
         raise ConfigError("initial interval/hashrate give an unusable target")
-    points = simulate_retarget_chain(initial_target, hashrate,
+    points = simulate_retarget_chain(int(quotient), hashrate,
                                      n_windows * params.window, params,
                                      stochastic=cfg.get("stochastic", False),
                                      seed=args.seed)
@@ -276,29 +267,16 @@ def _cmd_chainsim(args) -> int:
         "final_mean_interval": means[-1],
         "converged_within_5pct": abs(means[-1] / params.expected_interval - 1.0) <= 0.05,
     })
-    _emit(args, cfg, records)
-    return EXIT_OK
+    return records
 
 
-_ATTACK_SCHEMA = {
-    "q": as_float,
-    "z": as_int,
-    "runs": as_int,
-    "horizon_blocks": as_int,
-    "abandon_margin": as_int,
-    # full-scenario keys (engine mode; see opow.netsim.scenario_from_config)
-    "miners": configio.as_str_list,
-    "mean_block_interval": as_float,
-    "latency": as_float_list,
-    "horizon_seconds": as_float,
-    "confirmations": as_int,
-    "partitions": configio.as_str_list,
-    "integrated": as_bool,
-}
+# The race Monte Carlo's q, z and runs, plus the scenario format (engine mode;
+# its horizon_blocks and abandon_margin also bound the Monte Carlo).
+_ATTACK_SCHEMA = {"q": as_float, "z": as_int, "runs": as_int,
+                  **netsim.SCENARIO_SCHEMA}
 
 
-def _cmd_attack(args) -> int:
-    cfg = configio.load_config(_require_config(args), _ATTACK_SCHEMA)
+def _attack(args, cfg: dict) -> list[dict]:
     if "miners" in cfg:
         return _attack_engine_mode(args, cfg)
     if "q" not in cfg or "z" not in cfg:
@@ -308,7 +286,7 @@ def _cmd_attack(args) -> int:
         threads=args.threads,
         horizon_blocks=cfg.get("horizon_blocks", 10_000),
         abandon_margin=cfg.get("abandon_margin", netsim.DEFAULT_ABANDON_MARGIN))
-    record = {
+    return [{
         "record": "attack",
         "q": stats.q,
         "z": stats.z,
@@ -319,15 +297,11 @@ def _cmd_attack(args) -> int:
         "oracle_nakamoto": stats.oracle_nakamoto,
         "relative_error": (stats.rate / stats.oracle - 1.0) if stats.oracle else None,
         "model_note": stats.note,
-    }
-    _emit(args, cfg, [record])
-    return EXIT_OK
+    }]
 
 
-def _attack_engine_mode(args, cfg: dict) -> int:
+def _attack_engine_mode(args, cfg: dict) -> list[dict]:
     """Replicated event-engine runs of a full scenario, one record per run."""
-    import dataclasses
-
     if "q" in cfg or "z" in cfg:
         raise ConfigError("give either q/z or a miners scenario, not both")
     base = netsim.scenario_from_config(cfg, seed=args.seed)
@@ -351,8 +325,7 @@ def _attack_engine_mode(args, cfg: dict) -> int:
         records.append({"record": "summary", "runs": runs,
                         "successes": successes,
                         "success_rate": successes / runs})
-    _emit(args, cfg, records)
-    return EXIT_OK
+    return records
 
 
 _PHOTONIC_SCHEMA = {
@@ -365,8 +338,7 @@ _PHOTONIC_SCHEMA = {
 }
 
 
-def _cmd_photonic(args) -> int:
-    cfg = configio.load_config(_require_config(args), _PHOTONIC_SCHEMA)
+def _photonic(args, cfg: dict) -> list[dict]:
     seed_bytes = cfg.get("matrix_seed", _ZERO_SEED)
     dim = cfg.get("dim", 64)
     matrix = generate_matrix(seed_bytes, dim=dim)
@@ -388,8 +360,7 @@ def _cmd_photonic(args) -> int:
         row = dict(row)
         row["record"] = "sweep"
         records.append(row)
-    _emit(args, cfg, records)
-    return EXIT_OK
+    return records
 
 
 _ECON_SCHEMA = {
@@ -416,75 +387,63 @@ def _custom_fleet(cfg: dict):
         return None
     if len(present) != 3:
         raise ConfigError("custom fleets need hashrates, capex_rates and opex_rates")
-    try:
-        return econ.fleet_from_rates(cfg["hashrates"], cfg["capex_rates"],
-                                     cfg["opex_rates"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return econ.fleet_from_rates(cfg["hashrates"], cfg["capex_rates"],
+                                 cfg["opex_rates"])
 
 
-def _cmd_econ(args) -> int:
-    cfg = configio.load_config(_require_config(args), _ECON_SCHEMA)
+def _econ(args, cfg: dict) -> list[dict]:
     mode = cfg.get("mode", "resilience")
     market = econ.MarketState(reward_value=cfg.get("reward_value", 100_000.0),
                               block_interval=cfg.get("block_interval", 600.0))
     n_cohorts = cfg.get("n_cohorts", 100)
     custom = _custom_fleet(cfg)
-    records: list[dict] = []
+    # (label, fleet) rows: a custom fleet alone, labelled "custom", or one
+    # synthetic fleet per share, labelled with its share.
     if mode == "resilience":
         multipliers = cfg.get("multipliers",
                               [round(0.05 * i, 2) for i in range(1, 21)])
-        if custom is not None:
-            for mult, frac in econ.resilience_curve(custom, market, multipliers):
-                records.append({"record": "resilience", "opex_share": "custom",
-                                "multiplier": mult, "active_fraction": frac})
-        else:
-            for share in cfg.get("opex_shares", [0.1, 0.9]):
-                fleet = econ.synthetic_fleet(share, market, n_cohorts=n_cohorts)
-                for mult, frac in econ.resilience_curve(fleet, market, multipliers):
-                    records.append({"record": "resilience", "opex_share": share,
-                                    "multiplier": mult, "active_fraction": frac})
-    elif mode == "attack-cost":
+        fleets = [("custom", custom)] if custom is not None else [
+            (share, econ.synthetic_fleet(share, market, n_cohorts=n_cohorts))
+            for share in cfg.get("opex_shares", [0.1, 0.9])]
+        return [{"record": "resilience", "opex_share": label,
+                 "multiplier": mult, "active_fraction": frac}
+                for label, fleet in fleets
+                for mult, frac in econ.resilience_curve(fleet, market, multipliers)]
+    if mode == "attack-cost":
         duration = cfg.get("duration_days", 1.0) * econ.SECONDS_PER_DAY
         multiple = cfg.get("hardware_price_multiple", 1.0)
-        if custom is not None:
-            cost = econ.attack_cost(custom, market, duration, multiple)
-            records.append({"record": "attack_cost", "capex_share": "custom",
+        cost_rate = market.reward_rate  # competitive: cost per block = reward
+        fleets = [("custom", custom)] if custom is not None else [
+            (share, econ.MinerFleet((econ.Cohort(
+                hashrate=1.0, capex_rate=share * cost_rate,
+                opex_rate=(1.0 - share) * cost_rate),)))
+            for share in cfg.get("capex_shares",
+                                 [round(0.1 * i, 1) for i in range(1, 10)])]
+        records = []
+        for label, fleet in fleets:
+            cost = econ.attack_cost(fleet, market, duration, multiple)
+            records.append({"record": "attack_cost", "capex_share": label,
                             "capex": cost.capex, "opex": cost.opex,
                             "total": cost.total})
-        else:
-            cost_rate = market.reward_rate  # competitive: cost per block = reward
-            for share in cfg.get("capex_shares",
-                                 [round(0.1 * i, 1) for i in range(1, 10)]):
-                fleet = econ.MinerFleet((econ.Cohort(
-                    hashrate=1.0, capex_rate=share * cost_rate,
-                    opex_rate=(1.0 - share) * cost_rate),))
-                cost = econ.attack_cost(fleet, market, duration, multiple)
-                records.append({"record": "attack_cost", "capex_share": share,
-                                "capex": cost.capex, "opex": cost.opex,
-                                "total": cost.total})
-    elif mode == "calibrated-drop":
+        return records
+    if mode == "calibrated-drop":
         fleet = econ.bitcoin_like_fleet(market, n_cohorts=n_cohorts)
-        for mult in cfg.get("multipliers", [1.0, 0.55]):
-            scaled = econ.MarketState(market.reward_value * mult,
-                                      market.block_interval)
-            frac = econ.active_fraction(fleet, scaled)
-            records.append({"record": "calibrated_drop", "multiplier": mult,
-                            "active_fraction": frac, "drop": 1.0 - frac})
-    else:
-        raise ConfigError(f"unknown econ mode {mode!r}")
-    _emit(args, cfg, records)
-    return EXIT_OK
+        return [{"record": "calibrated_drop", "multiplier": mult,
+                 "active_fraction": frac, "drop": 1.0 - frac}
+                for mult, frac in econ.resilience_curve(
+                    fleet, market, cfg.get("multipliers", [1.0, 0.55]))]
+    raise ConfigError(f"unknown econ mode {mode!r}")
 
 
-_DISPATCH = {
-    "heavyhash": _cmd_heavyhash,
-    "mine": _cmd_mine,
-    "verify": _cmd_verify,
-    "chainsim": _cmd_chainsim,
-    "attack": _cmd_attack,
-    "photonic": _cmd_photonic,
-    "econ": _cmd_econ,
+# name -> (help text, config schema, handler)
+_COMMANDS = {
+    "mine": ("search a nonce range for a winning header", _MINE_SCHEMA, _mine),
+    "verify": ("re-check the proof of work of a header", _VERIFY_SCHEMA, _verify),
+    "chainsim": ("constant-hashrate retarget convergence run",
+                 _CHAINSIM_SCHEMA, _chainsim),
+    "attack": ("double-spend race Monte Carlo", _ATTACK_SCHEMA, _attack),
+    "photonic": ("analog weighting noise sweep", _PHOTONIC_SCHEMA, _photonic),
+    "econ": ("CAPEX/OPEX economics tables", _ECON_SCHEMA, _econ),
 }
 
 
@@ -497,15 +456,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
-    except (ConfigError, netsim.ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if args.command == "heavyhash":
+            return _heavyhash(args)
+        return _run_command(args)
     except (photonic.DecompositionError, photonic.NumericError,
             np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, netsim.ConfigurationError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

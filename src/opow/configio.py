@@ -9,6 +9,7 @@ value lives in the leading header record.
 from __future__ import annotations
 
 import json
+import math
 import time
 from typing import Callable, Iterable, Mapping, TextIO
 
@@ -22,7 +23,10 @@ def as_int(text: str) -> int:
 
 
 def as_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):  # nan and inf would hang or corrupt a run
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def as_str(text: str) -> str:
@@ -51,11 +55,7 @@ def as_hex(length: int | None = None) -> Callable[[str], bytes]:
 
 
 def as_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def as_int_list(text: str) -> list[int]:
-    return [int(part, 0) for part in text.split(",") if part.strip()]
+    return [as_float(part) for part in text.split(",") if part.strip()]
 
 
 def as_str_list(text: str) -> list[str]:
@@ -97,7 +97,8 @@ def load_config(path: str, schema: Mapping[str, Callable[[str], object]]) -> dic
 
 
 def header_record(command: str, seed: int, config: Mapping[str, object]) -> dict:
-    """Leading record carrying the fully resolved run configuration.
+    """Leading record carrying the run configuration as given: keys left
+    out of the config are not echoed with their defaults.
 
     The timestamp is isolated here so every later record is reproducible.
     """

@@ -23,6 +23,8 @@ from typing import Optional
 
 import numpy as np
 
+from .configio import as_bool, as_float, as_float_list, as_int, as_str_list
+
 HONEST = "honest"
 ATTACKER = "attacker"
 
@@ -174,9 +176,17 @@ class SimResult:
 #   miners     = h1:0.35, h2:0.35, att:0.3:attacker
 #   latency    = 5            (fixed seconds)  or  1,10  (uniform range)
 #   partitions = 0:6000:h1|att, ...
-SCENARIO_KEYS = ("miners", "mean_block_interval", "latency", "horizon_blocks",
-                 "horizon_seconds", "confirmations", "partitions",
-                 "abandon_margin", "integrated")
+SCENARIO_SCHEMA = {
+    "miners": as_str_list,
+    "mean_block_interval": as_float,
+    "latency": as_float_list,
+    "horizon_blocks": as_int,
+    "horizon_seconds": as_float,
+    "confirmations": as_int,
+    "partitions": as_str_list,
+    "abandon_margin": as_int,
+    "integrated": as_bool,
+}
 
 
 def scenario_from_config(cfg: dict, seed: int) -> SimScenario:

@@ -417,6 +417,11 @@ def _as_synthesis(matrix) -> MeshSynthesis:
 
 @dataclass(frozen=True)
 class NoiseModel:
+    """Phase and detector noise, and the ADC depth of the detector.
+
+    `adc_bits` is at most 53: the quantizer works in float64, whose 53-bit
+    mantissa resolves no more levels past that depth."""
+
     phase_sigma: float = 0.0      # rad, per shifter per evaluation
     detector_sigma: float = 0.0   # relative intensity noise
     adc_bits: int = 24
@@ -424,8 +429,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.phase_sigma < 0 or self.detector_sigma < 0:
             raise ValueError("noise magnitudes must be nonnegative")
-        if self.adc_bits < 1:
-            raise ValueError("adc_bits must be >= 1")
+        if not 1 <= self.adc_bits <= 53:
+            raise ValueError("adc_bits must be in [1, 53]")
 
 
 def _propagate_synthesis(synth: MeshSynthesis, fields: np.ndarray,

@@ -180,6 +180,15 @@ def test_bogus_copy_of_an_orphan_cannot_displace_it(index):
     assert fresh.entry(block_id(b2)).block.transfers == b2.transfers
 
 
+def test_copy_of_an_accepted_block_with_other_transfers(index):
+    report = extend(index, index.genesis_hash, 600, (Transfer(1, 2, 3, 4),))
+    genuine = index.entry(report.block_hash).block
+    copy = Block(genuine.header, (Transfer(1, 2, 99, 4),))  # same header id
+    assert index.add_block(copy).verdict is Verdict.BAD_COMMITMENT
+    assert index.add_block(genuine).verdict is Verdict.VALID
+    assert index.entry(report.block_hash).block.transfers == genuine.transfers
+
+
 # -- fork choice -----------------------------------------------------------------
 
 

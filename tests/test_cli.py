@@ -1,7 +1,11 @@
 import hashlib
 import json
+import math
 
-from opow.cli import main
+from hypothesis import given, settings, strategies as st
+
+from opow.cli import _COMMANDS, main
+from opow.configio import ConfigError, parse_config_text
 
 
 def read_records(path):
@@ -242,14 +246,74 @@ def test_econ_custom_fleet(tmp_path):
 
 # -- config handling ----------------------------------------------------------------
 
+CONFIG_COMMANDS = ("mine", "verify", "chainsim", "attack", "photonic", "econ")
+
 
 def test_unknown_config_key_exits_2(tmp_path):
-    code, _ = run(tmp_path, "attack", "q = 0.3\nz = 3\nbogus = 1\n")
-    assert code == 2
+    for subcommand in CONFIG_COMMANDS:
+        code, out = run(tmp_path, subcommand, "bogus = 1\n")
+        assert code == 2
+        assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):
-    assert main(["attack"]) == 2
+    assert set(CONFIG_COMMANDS) == set(_COMMANDS)
+    for subcommand in CONFIG_COMMANDS:
+        code, out = run(tmp_path, subcommand)
+        assert code == 2
+        assert not out.exists()
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out.jsonl")
+    cfg = tmp_path / "attack.cfg"
+    cfg.write_text("q = 0.3\nz = 3\nruns = 100\n")
+    for argv in (["heavyhash", ""], ["--config", str(cfg), "attack"]):
+        assert main(["--output", target] + argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write output {target!r}")
+
+
+def test_non_finite_config_floats_exit_2(tmp_path):
+    # inf used to run forever, nan to run no blocks or to write a bare NaN.
+    for subcommand, cfg in (
+            ("attack", "miners = a:0.5, b:0.5\nhorizon_seconds = inf\n"),
+            ("attack", "miners = a:0.5, b:0.5\nhorizon_blocks = 10\n"
+                       "mean_block_interval = nan\n"),
+            ("photonic", "dim = 16\nsamples = 10\nphase_sigmas = nan\n")):
+        code, out = run(tmp_path, subcommand, cfg)
+        assert code == 2
+        assert not out.exists()
+
+
+def test_numeric_overflow_inputs_exit_2(tmp_path):
+    # int(inf) for the initial target; 2**2000 - 1 does not fit a float.
+    for subcommand, cfg in (("chainsim", "hashrate = 1e-300\n"),
+                            ("photonic", "dim = 16\nsamples = 10\nadc_bits = 2000\n")):
+        code, out = run(tmp_path, subcommand, cfg)
+        assert code == 2
+        assert not out.exists()
+
+
+_ODD_VALUES = st.sampled_from(["nan", "-inf", "inf", "1e400", "0x1f", "1,nan",
+                               "true", "ab", "00" * 32, "", "1, 2", "-0"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONFIG_COMMANDS), st.data())
+def test_config_text_parses_to_finite_values_or_config_error(subcommand, data):
+    schema = _COMMANDS[subcommand][1]
+    key = st.sampled_from(sorted(schema)) | st.text(max_size=6)
+    line = st.tuples(key, _ODD_VALUES | st.text(max_size=12)).map(
+        lambda kv: f"{kv[0]} = {kv[1]}") | st.text(max_size=20)
+    text = data.draw(st.lists(line, max_size=6).map("\n".join))
+    try:
+        cfg = parse_config_text(text, schema)
+    except ConfigError:
+        return
+    for value in cfg.values():
+        for item in value if isinstance(value, list) else [value]:
+            assert not isinstance(item, float) or math.isfinite(item)
 
 
 def test_reproducible_records_modulo_header_timestamp(tmp_path):

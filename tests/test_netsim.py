@@ -209,8 +209,7 @@ def test_eventual_consistency_after_heal():
 
 def test_scenario_from_config():
     from opow.configio import parse_config_text
-    from opow.netsim import SCENARIO_KEYS, scenario_from_config
-    from opow.cli import _ATTACK_SCHEMA
+    from opow.netsim import SCENARIO_SCHEMA, scenario_from_config
 
     text = (
         "miners = h1:0.35, h2:0.35, att:0.3:attacker\n"
@@ -219,7 +218,7 @@ def test_scenario_from_config():
         "horizon_blocks = 500\n"
         "confirmations = 4\n"
     )
-    cfg = parse_config_text(text, _ATTACK_SCHEMA)
+    cfg = parse_config_text(text, SCENARIO_SCHEMA)
     sc = scenario_from_config(cfg, seed=7)
     assert sc.seed == 7
     assert [m.miner_id for m in sc.miners] == ["h1", "h2", "att"]
@@ -228,7 +227,6 @@ def test_scenario_from_config():
     assert sc.confirmations == 4
     result = run_scenario(sc)
     assert result.attacker_success is not None
-    assert all(key in _ATTACK_SCHEMA for key in SCENARIO_KEYS)
 
     with pytest.raises(ConfigurationError):
         scenario_from_config({"miners": ["nofraction"]}, seed=0)
