@@ -4,81 +4,7 @@ HeavyHash (matrix-weighted double SHA-256), a Hashcash mining/verification
 engine with chain state, a deterministic network-attack simulator, a
 photonic directional-coupler mesh emulator for the weighting stage, and a
 CAPEX/OPEX mining-economics model.
+
+The package re-exports nothing: import from the submodules, for example
+`from opow.heavyhash import heavyhash`.
 """
-
-from .heavyhash import (
-    HeavyHashParams,
-    WeightMatrix,
-    digest_to_nibbles,
-    generate_matrix,
-    heavyhash,
-    heavyhash_many,
-    identity_matrix,
-    matrix_is_full_rank,
-    nibbles_to_digest,
-    weighting,
-    weighting_sums,
-)
-from .pow import (
-    BlockHeader,
-    RetargetParams,
-    compact_from_target,
-    deserialize_header,
-    meets_target,
-    mine,
-    retarget,
-    serialize_header,
-    target_from_compact,
-    verify_header,
-    work_from_target,
-)
-from .chain import (
-    AddReport,
-    Block,
-    ChainIndex,
-    Transfer,
-    Verdict,
-    block_id,
-    import_chain,
-    make_genesis,
-    transfers_commitment,
-)
-from .netsim import (
-    MinerSpec,
-    PartitionWindow,
-    SimResult,
-    SimScenario,
-    attack_monte_carlo,
-    attack_success_rate,
-    catchup_probability,
-    nakamoto_probability,
-    run_partition,
-    run_scenario,
-)
-from .photonic import (
-    CouplerNode,
-    MeshConfiguration,
-    MeshSynthesis,
-    NoiseModel,
-    analog_weighting,
-    analog_weighting_batch,
-    clements_decompose,
-    coupler_unitary,
-    encode_nibbles,
-    fidelity_sweep,
-    mesh_unitary,
-    mzm_amplitude,
-    svd_synthesize,
-)
-from .econ import (
-    Cohort,
-    MarketState,
-    MinerFleet,
-    active_hashrate,
-    attack_cost,
-    bitcoin_like_fleet,
-    resilience_curve,
-    synthetic_fleet,
-)
-
-__version__ = "0.1.0"

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Optional
 
-from .heavyhash import HeavyHashParams, WeightMatrix, generate_matrix, heavyhash
+from .heavyhash import WeightMatrix, generate_matrix
 from .pow import (
     BlockHeader,
     HEADER_SIZE,
@@ -25,11 +25,11 @@ from .pow import (
     compact_from_target,
     deserialize_header,
     is_retarget_boundary,
-    meets_target,
     mine,
     scheduled_target,
     serialize_header,
     target_from_compact,
+    verify_header,
     work_from_target,
 )
 
@@ -107,13 +107,13 @@ def block_from_bytes(data: bytes) -> Block:
     return Block(header, transfers)
 
 
-def make_genesis(compact_target: int, timestamp: int = 0,
-                 transfers: tuple[Transfer, ...] = ()) -> Block:
+def make_genesis(compact_target: int, timestamp: int = 0) -> Block:
+    """Genesis block: no parent and no transfers."""
     header = BlockHeader(version=1, parent_hash=bytes(32),
-                         payload_commitment=transfers_commitment(transfers),
+                         payload_commitment=transfers_commitment(()),
                          timestamp=timestamp, compact_target=compact_target,
                          nonce=0)
-    return Block(header, transfers)
+    return Block(header)
 
 
 @dataclass
@@ -138,11 +138,8 @@ class AddReport:
 class ChainIndex:
     """Single-writer tree of validated blocks with most-work fork choice."""
 
-    def __init__(self, genesis: Block,
-                 params: RetargetParams = RetargetParams(),
-                 hash_params: HeavyHashParams = HeavyHashParams()):
+    def __init__(self, genesis: Block, params: RetargetParams = RetargetParams()):
         self.params = params
-        self.hash_params = hash_params
         self._entries: dict[bytes, _Entry] = {}
         self._children: dict[bytes, list[bytes]] = {}
         self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
@@ -162,9 +159,6 @@ class ChainIndex:
 
     def entry(self, block_hash: bytes) -> _Entry:
         return self._entries[block_hash]
-
-    def cumulative_work_of(self, block_hash: bytes) -> int:
-        return self._entries[block_hash].cumulative_work
 
     def tip_entry(self) -> _Entry:
         return self._entries[self.tip]
@@ -228,9 +222,7 @@ class ChainIndex:
             return Verdict.BAD_TIMESTAMP
         if header.compact_target != self.scheduled_compact(parent.hash):
             return Verdict.BAD_TARGET
-        matrix = self.matrix_for(parent.hash)
-        digest = heavyhash(self.hash_params, matrix, serialize_header(header))
-        if not meets_target(digest, target_from_compact(header.compact_target)):
+        if not verify_header(header, self.matrix_for(parent.hash)):
             return Verdict.BAD_POW
         spends = [t.spend_id for t in block.transfers]
         if len(set(spends)) != len(spends):
@@ -320,22 +312,22 @@ class ChainIndex:
 
     def header_template(self, parent_hash: bytes,
                         transfers: tuple[Transfer, ...],
-                        timestamp: int, version: int = 1) -> BlockHeader:
+                        timestamp: int) -> BlockHeader:
         if parent_hash not in self._entries:
             raise KeyError("unknown parent")
-        return BlockHeader(version=version, parent_hash=parent_hash,
+        return BlockHeader(version=1, parent_hash=parent_hash,
                            payload_commitment=transfers_commitment(transfers),
                            timestamp=timestamp,
                            compact_target=self.scheduled_compact(parent_hash),
                            nonce=0)
 
     def mine_block(self, parent_hash: bytes, transfers: tuple[Transfer, ...],
-                   timestamp: int, nonce_start: int = 0,
-                   nonce_count: int = 1 << 24) -> Optional[Block]:
+                   timestamp: int) -> Optional[Block]:
+        """A child of the given parent with the smallest winning nonce below
+        2**24, or None if none of those wins."""
         template = self.header_template(parent_hash, transfers, timestamp)
         target = target_from_compact(template.compact_target)
-        nonce = mine(template, self.matrix_for(parent_hash), target,
-                     nonce_start, nonce_count, self.hash_params)
+        nonce = mine(template, self.matrix_for(parent_hash), target, 0, 1 << 24)
         if nonce is None:
             return None
         return Block(template.with_nonce(nonce), transfers)
@@ -352,8 +344,7 @@ class ChainIndex:
         return len(entries)
 
 
-def import_chain(fp: BinaryIO, params: RetargetParams = RetargetParams(),
-                 hash_params: HeavyHashParams = HeavyHashParams()) -> ChainIndex:
+def import_chain(fp: BinaryIO) -> ChainIndex:
     """Rebuild an index from an exported stream; first block is the genesis.
 
     Raises ValueError naming the verdict if any later block fails validation.
@@ -372,7 +363,7 @@ def import_chain(fp: BinaryIO, params: RetargetParams = RetargetParams(),
         blocks.append(block_from_bytes(raw))
     if not blocks:
         raise ValueError("empty chain stream")
-    index = ChainIndex(blocks[0], params, hash_params)
+    index = ChainIndex(blocks[0])
     for block in blocks[1:]:
         report = index.add_block(block)
         if report.verdict is not Verdict.VALID:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SECONDS_PER_DAY = 86_400.0
-# Default hardware depreciation horizon used to convert an amortized capex
+# Hardware depreciation horizon used to convert an amortized capex
 # spending rate back into an up-front purchase price.
-DEFAULT_AMORTIZATION_SECONDS = 2 * 365 * SECONDS_PER_DAY
+AMORTIZATION_SECONDS = 2 * 365 * SECONDS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ class AttackCost:
 
 
 def attack_cost(fleet: MinerFleet, market: MarketState, duration: float,
-                hardware_price_multiple: float = 1.0,
-                amortization_seconds: float = DEFAULT_AMORTIZATION_SECONDS) -> AttackCost:
+                hardware_price_multiple: float = 1.0) -> AttackCost:
     """Cost of matching the active hashrate for `duration` seconds.
 
     Hardware: replacement capex of every active cohort (amortized rate times
@@ -113,12 +112,12 @@ def attack_cost(fleet: MinerFleet, market: MarketState, duration: float,
     """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    if hardware_price_multiple <= 0 or amortization_seconds <= 0:
+    if hardware_price_multiple <= 0:
         raise ValueError("price multiple and amortization must be positive")
     active = active_cohorts(fleet, market)
     capex = sum(c.capex_rate for c, a in zip(fleet.cohorts, active) if a)
     opex = sum(c.opex_rate for c, a in zip(fleet.cohorts, active) if a)
-    return AttackCost(capex=hardware_price_multiple * capex * amortization_seconds,
+    return AttackCost(capex=hardware_price_multiple * capex * AMORTIZATION_SECONDS,
                       opex=opex * duration)
 
 
@@ -148,30 +147,29 @@ def fleet_from_rates(hashrates: list[float], capex_rates: list[float],
 
 
 def synthetic_fleet(opex_share: float, market: MarketState,
-                    n_cohorts: int = 100, total_hashrate: float = 1.0,
-                    cost_over_reward: float = 1.0) -> MinerFleet:
+                    n_cohorts: int = 100) -> MinerFleet:
     """Equal-hashrate fleet with opex margins spread around `opex_share`.
 
     Cohort i's opex consumes margin m_i of its baseline pro-rata revenue,
     with m_i uniformly spaced on (opex_share - d, opex_share + d) where
     d = min(opex_share, 1 - opex_share): every cohort is profitable at the
     baseline price, and the marginal cohort sits at margin -> 1 when
-    opex_share is high.  Capex absorbs the rest of `cost_over_reward` times
-    the reward, so total cost per block is fixed across opex shares.
+    opex_share is high.  Capex absorbs the rest of the reward, so total cost
+    per block equals the reward at every opex share.  The fleet's total
+    hashrate is 1.
     """
     if not 0.0 < opex_share < 1.0:
         raise ValueError("opex_share must be in (0, 1)")
-    if n_cohorts < 1 or total_hashrate <= 0 or cost_over_reward <= 0:
+    if n_cohorts < 1:
         raise ValueError("bad fleet shape parameters")
-    h = total_hashrate / n_cohorts
+    h = 1.0 / n_cohorts
     revenue_per_cohort = market.reward_rate / n_cohorts
     half_width = min(opex_share, 1.0 - opex_share)
-    cost_per_cohort = cost_over_reward * revenue_per_cohort
     cohorts = []
     for i in range(n_cohorts):
         margin = opex_share + half_width * ((2 * i + 1) / n_cohorts - 1.0)
         opex = margin * revenue_per_cohort
-        capex = max(0.0, cost_per_cohort - opex)
+        capex = max(0.0, revenue_per_cohort - opex)
         cohorts.append(Cohort(hashrate=h, capex_rate=capex, opex_rate=opex))
     return MinerFleet(tuple(cohorts))
 
@@ -182,26 +180,21 @@ def synthetic_fleet(opex_share: float, market: MarketState,
 BITCOIN_EPISODE_MARGIN_CEILING = 0.55 * 60.0 / 35.0  # = 33/35
 
 
-def bitcoin_like_fleet(market: MarketState, n_cohorts: int = 100,
-                       total_hashrate: float = 1.0,
-                       opex_margin_ceiling: float = BITCOIN_EPISODE_MARGIN_CEILING,
-                       capex_rate_per_cohort: float = 0.0) -> MinerFleet:
+def bitcoin_like_fleet(market: MarketState, n_cohorts: int = 100) -> MinerFleet:
     """OPEX-heavy fleet calibrated to the observed hashrate-drop episode.
 
     Margins are uniformly spread on (0, ceiling) via midpoints, so at reward
     multiplier m the active fraction is m / ceiling (capped at 1): the full
     fleet runs at baseline and a 0.55 multiplier idles ~42% of hashrate.
+    The fleet's total hashrate is 1 and its hardware is sunk (no capex).
     """
-    if n_cohorts < 1 or total_hashrate <= 0:
+    if n_cohorts < 1:
         raise ValueError("bad fleet shape parameters")
-    if not 0.0 < opex_margin_ceiling <= 1.0:
-        raise ValueError("margin ceiling must be in (0, 1]")
-    h = total_hashrate / n_cohorts
+    h = 1.0 / n_cohorts
     revenue_per_cohort = market.reward_rate / n_cohorts
     cohorts = []
     for i in range(n_cohorts):
-        margin = opex_margin_ceiling * (i + 0.5) / n_cohorts
-        cohorts.append(Cohort(hashrate=h,
-                              capex_rate=capex_rate_per_cohort,
+        margin = BITCOIN_EPISODE_MARGIN_CEILING * (i + 0.5) / n_cohorts
+        cohorts.append(Cohort(hashrate=h, capex_rate=0.0,
                               opex_rate=margin * revenue_per_cohort))
     return MinerFleet(tuple(cohorts))

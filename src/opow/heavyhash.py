@@ -133,9 +133,10 @@ class WeightMatrix:
         return self.entries.shape[0]
 
 
-def identity_matrix(dim: int = MATRIX_DIM) -> WeightMatrix:
+def identity_matrix() -> WeightMatrix:
     """Identity weighting; heavyhash degenerates to double SHA-256."""
-    return WeightMatrix(entries=np.eye(dim, dtype=np.int64), seed=bytes(DIGEST_SIZE))
+    return WeightMatrix(entries=np.eye(MATRIX_DIM, dtype=np.int64),
+                        seed=bytes(DIGEST_SIZE))
 
 
 def _split_nibbles(raw: bytes) -> np.ndarray:
@@ -206,9 +207,10 @@ def matrix_is_full_rank(matrix) -> bool:
     return True
 
 
-def _full_rank_mod_p(matrix: np.ndarray, p: int = _RANK_PRIME) -> bool:
+def _full_rank_mod_p(matrix: np.ndarray) -> bool:
     # One-sided certificate: full rank mod p implies full rank over Q.
     # A False here is inconclusive and falls back to the exact test.
+    p = _RANK_PRIME
     a = np.asarray(matrix, dtype=np.int64) % p
     n = a.shape[0]
     for k in range(n):

@@ -19,7 +19,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -97,6 +97,8 @@ class SimScenario:
             raise ConfigurationError("mean_block_interval must be positive")
         if self.confirmations < 0:
             raise ConfigurationError("confirmations must be >= 0")
+        if self.abandon_margin < 1:
+            raise ConfigurationError("abandon_margin must be >= 1")
         if isinstance(self.latency, (tuple, list)):
             lo, hi = self.latency
             if lo < 0 or hi < lo:
@@ -542,13 +544,6 @@ def run_scenario(scenario: SimScenario) -> SimResult:
     return _Engine(scenario).run()
 
 
-def run_partition(scenario: SimScenario) -> SimResult:
-    """Partition variant; requires a schedule and reports divergence at heal."""
-    if not scenario.partitions:
-        raise ConfigurationError("run_partition needs a partition schedule")
-    return run_scenario(scenario)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo double-spend race
 
@@ -562,9 +557,10 @@ class AttackStats:
     oracle_nakamoto: float
     q: float
     z: int
-    note: str = ("success = private fork pulls level with the public chain "
-                 "after z confirmations; oracle (q/(1-q))**z is exact for "
-                 "this model, unlike the Poisson-corrected Nakamoto value")
+    note: ClassVar[str] = (
+        "success = private fork pulls level with the public chain after z "
+        "confirmations; oracle (q/(1-q))**z is exact for this model, unlike "
+        "the Poisson-corrected Nakamoto value")
 
 
 # Draws per replica taken from the generator at once.  Part of the stream
@@ -590,8 +586,15 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
         raise ValueError("q must satisfy 0 <= q < 1")
     if z < 0 or runs <= 0:
         raise ValueError("z and runs must be nonnegative/positive")
+    # Degenerate races: no block left for the race after the z confirmations,
+    # or a give-up margin under one block.  Either reports a rate near 0 that
+    # measures nothing.
+    if horizon_blocks <= z:
+        raise ValueError(f"horizon_blocks must exceed z = {z}")
+    if abandon_margin < 1:
+        raise ValueError("abandon_margin must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    budget = max(0, horizon_blocks - z)
+    budget = horizon_blocks - z
     deficit = np.full(runs, z, dtype=np.int64)
     undecided = np.ones(runs, dtype=bool)
     success = deficit == 0  # z == 0 means already level
@@ -614,13 +617,6 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
     return AttackStats(runs=runs, successes=n_success, rate=n_success / runs,
                        oracle=catchup_probability(q, z),
                        oracle_nakamoto=nakamoto_probability(q, z), q=q, z=z)
-
-
-def success_grid(qs: list[float], zs: list[int], runs: int, seed: int = 0,
-                 **kwargs) -> dict[tuple[float, int], AttackStats]:
-    """Race statistics over a q x z grid with common random numbers."""
-    return {(q, z): attack_success_rate(q, z, runs, seed, **kwargs)
-            for q in qs for z in zs}
 
 
 def attack_monte_carlo(q: float, z: int, runs: int, seed: int = 0,

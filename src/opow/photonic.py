@@ -42,6 +42,9 @@ TWO_PI = 2.0 * math.pi
 # Elements at or below this magnitude count as already nulled; the leftover
 # off-diagonal mass after a full sweep stays orders below the 1e-8 contract.
 _NULL_EPS = 1e-13
+# The 1e-8 contract: the largest unitarity residual clements_decompose
+# accepts, and the largest off-diagonal mass its nulling sweep may leave.
+_UNITARY_TOL = 1e-8
 
 
 def _wrap_phase(phi: float) -> float:
@@ -129,10 +132,11 @@ def nibble_drive_phase(value: int) -> float:
 
 
 def encode_nibbles(values) -> np.ndarray:
-    """Optical field for a nibble vector: amplitude x/15, zero phase."""
+    """Optical field for a nibble vector, or a batch of them as rows:
+    amplitude x/15, zero phase."""
     arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("expected a flat nibble vector")
+    if arr.ndim not in (1, 2):
+        raise ValueError("expected a nibble vector or a batch of them")
     if arr.min() < 0 or arr.max() > NIBBLE_MAX:
         raise ValueError("nibble values must be in [0, 15]")
     return (arr / NIBBLE_MAX).astype(np.complex128)
@@ -274,7 +278,7 @@ def _pack_layers(n: int, ops: list[tuple[int, float, float]]) -> tuple:
     return tuple(layers)
 
 
-def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> MeshConfiguration:
+def clements_decompose(u: np.ndarray) -> MeshConfiguration:
     """Program the rectangular mesh to realize the unitary `u`.
 
     Alternating right/left Givens-style nulling sweeps reduce `u` to a
@@ -287,9 +291,9 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> MeshConfiguration:
         raise DecompositionError("input must be a square matrix")
     n = work.shape[0]
     residual = unitarity_residual(work)
-    if residual >= tol:
+    if residual >= _UNITARY_TOL:
         raise DecompositionError(
-            f"input is not unitary: residual {residual:.3e} >= {tol:.1e}")
+            f"input is not unitary: residual {residual:.3e} >= {_UNITARY_TOL:.1e}")
     if n == 1:
         return MeshConfiguration(n=1, layers=((),),
                                  output_phases=np.angle(work[0]))
@@ -312,7 +316,7 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> MeshConfiguration:
 
     diag = np.diagonal(work).copy()
     off = float(np.max(np.abs(work - np.diag(diag))))
-    if off > max(tol, 1e-9):
+    if off > _UNITARY_TOL:
         raise NumericError(f"nulling sweep left off-diagonal mass {off:.3e}")
 
     # U = T_L1^+ ... T_Lp^+ . D . T_Rq ... T_R1; push each T^+ through D:
@@ -350,16 +354,19 @@ class MeshSynthesis:
     dim: int
 
 
+def _float_matrix(matrix) -> np.ndarray:
+    if isinstance(matrix, WeightMatrix):
+        return matrix.entries.astype(np.float64)
+    return np.asarray(matrix, dtype=np.float64)
+
+
 def svd_synthesize(matrix) -> MeshSynthesis:
     """Split M = U S V^T into two programmable meshes and attenuators.
 
     The attenuators carry S / max(S) in [0, 1] (one MZM per channel) and the
     overall scale max(S) is reapplied digitally after detection.
     """
-    if isinstance(matrix, WeightMatrix):
-        m = matrix.entries.astype(np.float64)
-    else:
-        m = np.asarray(matrix, dtype=np.float64)
+    m = _float_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     try:
@@ -378,10 +385,7 @@ def svd_synthesize(matrix) -> MeshSynthesis:
 
 def synthesis_residual(synth: MeshSynthesis, matrix) -> float:
     """Max elementwise error of scale * (left . diag . right) against M."""
-    if isinstance(matrix, WeightMatrix):
-        m = matrix.entries.astype(np.float64)
-    else:
-        m = np.asarray(matrix, dtype=np.float64)
+    m = _float_matrix(matrix)
     rebuilt = (mesh_unitary(synth.left)
                @ np.diag(synth.attenuations)
                @ mesh_unitary(synth.right)) * synth.scale
@@ -401,14 +405,6 @@ def synthesis_for(matrix: WeightMatrix) -> MeshSynthesis:
         synth = svd_synthesize(matrix)
         _SYNTH_CACHE[key] = synth
     return synth
-
-
-def _as_synthesis(matrix) -> MeshSynthesis:
-    if isinstance(matrix, MeshSynthesis):
-        return matrix
-    if isinstance(matrix, WeightMatrix):
-        return synthesis_for(matrix)
-    return svd_synthesize(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +455,12 @@ def analog_weighting_batch(matrix, xs: np.ndarray,
     taking the magnitude loses nothing, and at zero noise with a deep ADC
     the estimate equals the digital weighting exactly.
     """
-    synth = _as_synthesis(matrix)
+    synth = matrix if isinstance(matrix, MeshSynthesis) else synthesis_for(matrix)
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2 or xs.shape[1] != synth.dim:
         raise ValueError(f"inputs must be (batch, {synth.dim}) nibbles")
     rng = np.random.Generator(np.random.PCG64(seed))
-    fields = np.vstack([encode_nibbles(row) for row in xs]).T  # (n, B)
+    fields = encode_nibbles(xs).T  # (n, B)
     out = _propagate_synthesis(synth, fields, rng, noise.phase_sigma)
     intensity = np.abs(out) ** 2
     if noise.detector_sigma > 0.0:
@@ -479,14 +475,6 @@ def analog_weighting_batch(matrix, xs: np.ndarray,
     y = np.rint(NIBBLE_MAX * synth.scale * np.sqrt(quantized)).astype(np.int64)
     estimates = (y >> TRUNCATE_SHIFT) & 0xF
     return estimates.T, quantized.T
-
-
-def analog_weighting(matrix, x, noise: NoiseModel = NoiseModel(),
-                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Single-vector analog weighting; see analog_weighting_batch."""
-    est, intens = analog_weighting_batch(matrix, np.asarray(x)[np.newaxis, :],
-                                         noise, seed)
-    return est[0], intens[0]
 
 
 def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],

@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opow.chain import (
     Block,
@@ -16,8 +17,10 @@ from opow.chain import (
 )
 from opow.heavyhash import HeavyHashParams, heavyhash
 from opow.pow import (
+    BlockHeader,
     RetargetParams,
     compact_from_target,
+    deserialize_header,
     meets_target,
     mine,
     serialize_header,
@@ -234,12 +237,12 @@ def test_attacker_seven_vs_honest_six(index):
     # integer cumulative-work oracle: equal targets, so work is per-block
     per_block = work_from_target(target_from_compact(EASY_BITS))
     expect = (1 + 1 + 7) * per_block  # genesis + fork block + 7 attacker blocks
-    assert index.cumulative_work_of(index.tip) == expect
+    assert index.entry(index.tip).cumulative_work == expect
 
 
 def test_work_strictly_increases_along_chain(index):
     build_chain(index, 8)
-    works = [index.cumulative_work_of(h) for h in index.best_chain()]
+    works = [index.entry(h).cumulative_work for h in index.best_chain()]
     assert all(b > a for a, b in zip(works, works[1:]))
 
 
@@ -333,6 +336,27 @@ def test_block_bytes_roundtrip(index):
     for h in index.best_chain():
         block = index.entry(h).block
         assert block_from_bytes(block_to_bytes(block)) == block
+
+
+def _uint(bits):
+    return st.integers(0, (1 << bits) - 1)
+
+
+_DIGESTS = st.binary(min_size=32, max_size=32)
+_BLOCKS = st.builds(
+    Block,
+    header=st.builds(BlockHeader, version=_uint(32), parent_hash=_DIGESTS,
+                     payload_commitment=_DIGESTS, timestamp=_uint(64),
+                     compact_target=_uint(32), nonce=_uint(64)),
+    transfers=st.lists(st.builds(Transfer, _uint(64), _uint(64), _uint(64),
+                                 _uint(64)), max_size=5).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BLOCKS)
+def test_header_and_block_bytes_roundtrip_any_fields(block):
+    assert deserialize_header(serialize_header(block.header)) == block.header
+    assert block_from_bytes(block_to_bytes(block)) == block
 
 
 def test_transfers_commitment_is_sha256_of_records():

@@ -214,6 +214,22 @@ def test_attack_rejects_nonpositive_runs(tmp_path):
             assert not out.exists()
 
 
+def test_degenerate_double_spend_race_exits_2(tmp_path, capsys):
+    # Races that measure nothing: no block left after the z confirmations,
+    # or a give-up margin under one block.  They are config errors.
+    cases = [("q = 0.3\nz = 3\nhorizon_blocks = 0\n", "horizon_blocks"),
+             ("q = 0.3\nz = 3\nabandon_margin = -5\n", "abandon_margin"),
+             ("miners = h1:0.35, h2:0.35, att:0.3:attacker\n"
+              "mean_block_interval = 1\nhorizon_blocks = 2000\n"
+              "confirmations = 3\nruns = 200\nabandon_margin = -5\n",
+              "abandon_margin")]
+    for cfg, key in cases:
+        code, out = run(tmp_path, "attack", cfg)
+        assert code == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+
 def test_threads_below_one_exit_2(tmp_path):
     for threads in (0, -1):
         code, out = run(tmp_path, "attack", "q = 0.3\nz = 3\nruns = 100\n",

@@ -35,6 +35,24 @@ from reference_oracles import (
 PARAMS = HeavyHashParams()
 
 
+# -- package ------------------------------------------------------------------
+
+
+def test_submodules_are_not_shadowed_by_package_names():
+    # `import opow.x as m` binds the package attribute `x`, so a package-level
+    # name equal to a submodule's (a re-exported function `heavyhash`, say)
+    # would hand out that name instead of the module.
+    import pkgutil
+    import types
+
+    import opow
+
+    for info in pkgutil.iter_modules(opow.__path__):
+        namespace = {}
+        exec(f"import opow.{info.name} as m", namespace)
+        assert isinstance(namespace["m"], types.ModuleType), info.name
+
+
 # -- nibble codec ------------------------------------------------------------
 
 

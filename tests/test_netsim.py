@@ -13,9 +13,7 @@ from opow.netsim import (
     catchup_probability,
     integrated_run,
     nakamoto_probability,
-    run_partition,
     run_scenario,
-    success_grid,
 )
 
 
@@ -139,7 +137,8 @@ def test_engine_agrees_with_vectorized_race():
 def test_success_grid_monotone_exactly():
     qs = [0.1, 0.2, 0.3, 0.4]
     zs = [1, 3, 6]
-    grid = success_grid(qs, zs, runs=20_000, seed=7)
+    grid = {(q, z): attack_success_rate(q, z, runs=20_000, seed=7)
+            for q in qs for z in zs}
     for z in zs:
         rates = [grid[(q, z)].rate for q in qs]
         assert rates == sorted(rates)
@@ -172,15 +171,13 @@ def test_no_partition_means_no_divergence():
                      mean_block_interval=600.0, horizon_blocks=60)
     result = run_scenario(sc)
     assert result.divergences == ()
-    with pytest.raises(ConfigurationError):
-        run_partition(sc)
 
 
 def test_even_split_divergence_depth():
     # 10 expected block times at 50/50: each side mines Poisson(5) blocks.
     depths = []
     for i in range(200):
-        result = run_partition(partition_scenario(seed=900 + i))
+        result = run_scenario(partition_scenario(seed=900 + i))
         assert len(result.divergences) == 1
         report = result.divergences[0]
         depths.extend([report.depth_a, report.depth_b])
@@ -190,7 +187,7 @@ def test_even_split_divergence_depth():
 
 
 def test_zero_hashrate_side_adopts_other_chain():
-    result = run_partition(partition_scenario(seed=11, frac_a=0.0))
+    result = run_scenario(partition_scenario(seed=11, frac_a=0.0))
     report = result.divergences[0]
     assert report.depth_a == 0 and report.depth_b > 0
     assert result.node_tips["a"] == result.node_tips["b"]
@@ -199,7 +196,7 @@ def test_zero_hashrate_side_adopts_other_chain():
 
 def test_eventual_consistency_after_heal():
     for seed in range(20, 30):
-        result = run_partition(partition_scenario(seed=seed))
+        result = run_scenario(partition_scenario(seed=seed))
         assert result.node_tips["a"] == result.node_tips["b"]
         assert result.node_heights["a"] == result.node_heights["b"]
 
@@ -247,7 +244,7 @@ def test_partition_via_config_roundtrip():
         "partitions = 0:6000:a\n"
     )
     sc = scenario_from_config(parse_config_text(text, _ATTACK_SCHEMA), seed=11)
-    result = run_partition(sc)
+    result = run_scenario(sc)
     assert len(result.divergences) == 1
 
 

@@ -9,7 +9,6 @@ from opow.photonic import (
     DecompositionError,
     MeshConfiguration,
     NoiseModel,
-    analog_weighting,
     analog_weighting_batch,
     clements_decompose,
     coupler_unitary,
@@ -227,7 +226,7 @@ def test_analog_identity_matches_digital_zero_vector():
     ident = identity_matrix()
     rng = np.random.default_rng(6)
     x = rng.integers(0, 16, size=64)
-    est, _ = analog_weighting(ident, x)
+    est, _ = analog_weighting_batch(ident, x[np.newaxis])
     assert (est == 0).all()
 
 

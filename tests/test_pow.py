@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opow.heavyhash import HeavyHashParams, heavyhash
 from opow.pow import (
@@ -97,6 +98,32 @@ def test_compact_rounds_down():
         assert 0 < decoded <= target
         # at least the top 15 bits survive (sign-bit normalization can cost a byte)
         assert Fraction(target - decoded, target) < Fraction(1, 1 << 14)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(1, TARGET_SPACE - 1))
+def test_compact_encoding_rounds_down_to_a_fixed_point(target):
+    bits = compact_from_target(target)
+    decoded = target_from_compact(bits)
+    assert 0 < decoded <= target
+    assert compact_from_target(decoded) == bits
+
+
+# Any u32, plus exponents near the valid range with any sign bit and mantissa.
+_COMPACT_BITS = st.integers(0, (1 << 32) - 1) | st.builds(
+    lambda exponent, low: (exponent << 24) | low,
+    st.integers(0, 34), st.integers(0, (1 << 24) - 1))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_COMPACT_BITS)
+def test_compact_bits_decode_in_range_or_raise(bits):
+    try:
+        target = target_from_compact(bits)
+    except CompactTargetError:
+        return
+    assert 0 < target < TARGET_SPACE
+    assert target_from_compact(compact_from_target(target)) == target
 
 
 def test_compact_rejects_invalid():
