@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Optional
@@ -144,11 +145,13 @@ class ChainIndex:
         self._children: dict[bytes, list[bytes]] = {}
         self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
         self._matrices: dict[bytes, WeightMatrix] = {}
+        self._spenders: dict[int, list[bytes]] = {}  # spend id -> carrier ids
         self._seq = 0
         # Genesis is the trust anchor: stored as-is, never PoW-validated.
         gh = block_id(genesis)
         target = target_from_compact(genesis.header.compact_target)
         self._entries[gh] = _Entry(genesis, gh, 0, work_from_target(target), 0)
+        self._index_spends(genesis, gh)
         self.genesis_hash = gh
         self.tip = gh
 
@@ -227,12 +230,16 @@ class ChainIndex:
         spends = [t.spend_id for t in block.transfers]
         if len(set(spends)) != len(spends):
             return Verdict.DOUBLE_SPEND
-        spend_set = set(spends)
-        if spend_set:
-            for entry in self.ancestors(parent.hash):
-                for t in entry.block.transfers:
-                    if t.spend_id in spend_set:
-                        return Verdict.DOUBLE_SPEND
+        # Only a carrier of one of the ids on the parent's branch conflicts:
+        # walk down from the parent to the lowest carrier that could be one.
+        carriers = {h for s in spends for h in self._spenders.get(s, ())
+                    if self._entries[h].height <= parent.height}
+        if carriers:
+            lowest = min(self._entries[h].height for h in carriers)
+            branch = itertools.takewhile(lambda e: e.height >= lowest,
+                                         self.ancestors(parent.hash))
+            if any(e.hash in carriers for e in branch):
+                return Verdict.DOUBLE_SPEND
         return Verdict.VALID
 
     # -- insertion -------------------------------------------------------
@@ -278,10 +285,15 @@ class ChainIndex:
         entry = _Entry(block, bh, parent.height + 1,
                        parent.cumulative_work + work, self._seq)
         self._entries[bh] = entry
+        self._index_spends(block, bh)
         self._children.setdefault(parent.hash, []).append(bh)
         # Strictly more work displaces the tip; equal work keeps first-inserted.
         if entry.cumulative_work > self._entries[self.tip].cumulative_work:
             self.tip = bh
+
+    def _index_spends(self, block: Block, bh: bytes) -> None:
+        for t in block.transfers:
+            self._spenders.setdefault(t.spend_id, []).append(bh)
 
     def _drain_orphans(self, parent_hash: bytes, accepted: list[bytes]) -> None:
         # Depth first, each parent's orphans in pool order; an explicit stack

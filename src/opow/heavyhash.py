@@ -9,7 +9,10 @@ One round over an input byte string:
 
 The 64x64 weighting matrix M has 4-bit entries, is derived deterministically
 from a 32-byte seed with xoshiro256++, and must be full rank over the
-rationals so the weighting stage does not collapse distinct inputs.  The
+rationals so the weighting stage does not collapse distinct inputs.  Full
+rank is shown by an exact integer residual certificate on a float64 inverse
+(Rump's verified inverse, done in integers) or, where that certificate is
+refused, by exact Bareiss elimination; no verdict rests on rounding.  The
 whole consensus path is exact integer arithmetic.  The weighting matmul runs
 in float32 and stays exact under any BLAS summation order: every product is
 at most 225 and every partial sum an integer of at most 64 * 225 = 14400,
@@ -20,6 +23,7 @@ inputs; `heavyhash` is a batch of one.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -38,18 +42,8 @@ def accumulator_max(dim: int) -> int:
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Prime used for the fast one-sided full-rank certificate: full rank mod p
-# implies full rank over the rationals.  2**31 - 1 keeps all intermediate
-# products inside int64.
-_RANK_PRIME = 2**31 - 1
-
-
 class ParameterError(ValueError):
     """Raised for dimension or parameter mismatches in the hash pipeline."""
-
-
-def _rotl64(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 def splitmix64(x: int) -> int:
@@ -78,18 +72,23 @@ class Xoshiro256PlusPlus:
             s[0] = 1
         self.s0, self.s1, self.s2, self.s3 = s
 
-    def next_u64(self) -> int:
+    def next_words(self, n: int) -> list[int]:
+        """The next `n` outputs; the one state update, rotates inlined."""
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        result = (s0 + _rotl64((s0 + s3) & _MASK64, 23)) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl64(s3, 45)
+        mask = _MASK64
+        out = []
+        for _ in range(n):
+            r = (s0 + s3) & mask
+            out.append((s0 + (((r << 23) & mask) | (r >> 41))) & mask)
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & mask) | (s3 >> 19)
         self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
-        return result
+        return out
 
 
 def _check_digest(value: bytes, name: str = "digest") -> None:
@@ -172,7 +171,7 @@ def nibbles_to_digest(nibbles: np.ndarray) -> bytes:
 def _draw_entries(rng: Xoshiro256PlusPlus, dim: int) -> np.ndarray:
     # Row-major fill, 16 nibbles per 64-bit draw, least-significant nibble first.
     n_words = dim * dim // 16
-    words = np.array([rng.next_u64() for _ in range(n_words)], dtype=np.uint64)
+    words = np.array(rng.next_words(n_words), dtype=np.uint64)
     shifts = (4 * np.arange(16, dtype=np.uint64))[np.newaxis, :]
     nibbles = (words[:, np.newaxis] >> shifts) & np.uint64(0xF)
     return nibbles.astype(np.int64).reshape(dim, dim)
@@ -207,25 +206,27 @@ def matrix_is_full_rank(matrix) -> bool:
     return True
 
 
-def _full_rank_mod_p(matrix: np.ndarray) -> bool:
-    # One-sided certificate: full rank mod p implies full rank over Q.
-    # A False here is inconclusive and falls back to the exact test.
-    p = _RANK_PRIME
-    a = np.asarray(matrix, dtype=np.int64) % p
-    n = a.shape[0]
-    for k in range(n):
-        nz = np.nonzero(a[k:, k])[0]
-        if nz.size == 0:
-            return False
-        piv = k + int(nz[0])
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-        inv = pow(int(a[k, k]), -1, p)
-        a[k, k:] = (a[k, k:] * inv) % p
-        below = a[k + 1:, k]
-        if below.size:
-            a[k + 1:, k:] = (a[k + 1:, k:] - below[:, np.newaxis] * a[k, k:]) % p
-    return True
+def _certified_full_rank(entries: np.ndarray) -> bool:
+    # One-sided certificate, exact: X = rint(inv(A) * 2**e) with |X| <= 2**42,
+    # so every partial sum of X @ A is an integer below 2**42 * 960 < 2**52
+    # and float64 computes it exactly in any summation order.  If every row
+    # of |2**e * I - X @ A| sums below 2**e, then X @ A / 2**e is within 1 of
+    # I in the infinity norm, hence invertible, and so is A.  False is
+    # inconclusive and falls back to the exact test.
+    a = entries.astype(np.float64)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return False
+    peak = float(np.abs(inv).max())
+    if not math.isfinite(peak):
+        return False
+    e = 42 - math.frexp(peak)[1]  # peak < 2**(42 - e), so |X| <= 2**42
+    if not 0 <= e <= 52:  # 2**e must be an integer inside the exact range
+        return False
+    residual = (np.rint(np.ldexp(inv, e)) @ a).astype(np.int64)
+    residual.flat[::len(residual) + 1] -= 1 << e  # the diagonal
+    return bool(np.abs(residual).sum(axis=1).max() < (1 << e))
 
 
 def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
@@ -242,7 +243,7 @@ def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
     rng = Xoshiro256PlusPlus(seed)
     while True:
         entries = _draw_entries(rng, dim)
-        if _full_rank_mod_p(entries) or matrix_is_full_rank(entries):
+        if _certified_full_rank(entries) or matrix_is_full_rank(entries):
             return WeightMatrix(entries=entries, seed=bytes(seed))
 
 

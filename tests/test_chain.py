@@ -15,7 +15,7 @@ from opow.chain import (
     make_genesis,
     transfers_commitment,
 )
-from opow.heavyhash import HeavyHashParams, heavyhash
+from opow.heavyhash import HeavyHashParams, generate_matrix, heavyhash
 from opow.pow import (
     BlockHeader,
     RetargetParams,
@@ -297,6 +297,110 @@ def test_no_accepted_chain_has_duplicate_spend_ids(index):
         for t in index.entry(h).block.transfers:
             assert t.spend_id not in seen
             seen.add(t.spend_id)
+
+
+def test_spend_id_is_scoped_to_its_branch(index):
+    # Sibling branches may each spend an id once; below either, it is spent.
+    left = extend(index, index.genesis_hash, 600, [Transfer(1, 2, 5, 77)])
+    right = extend(index, index.genesis_hash, 700, [Transfer(3, 4, 5, 77)])
+    assert left.verdict is right.verdict is Verdict.VALID
+    for fork, ts in ((left, 1200), (right, 1300)):
+        child = extend(index, fork.block_hash, ts, [Transfer(1, 2, 1, 78)])
+        assert child.verdict is Verdict.VALID
+        for parent in (fork.block_hash, child.block_hash):
+            reuse = index.mine_block(parent, (Transfer(5, 6, 1, 77),), ts + 600)
+            assert index.add_block(reuse).verdict is Verdict.DOUBLE_SPEND
+
+
+class _NaiveSpendChain:
+    """Model of `ChainIndex` for blocks that pass every check but the spend
+    rule: each spend check walks every ancestor back to genesis, the pool
+    drains depth first in arrival order, and the first block to reach a
+    greater height takes the tip (every block carries the same target)."""
+
+    def __init__(self, genesis):
+        gh = block_id(genesis)
+        self.blocks = {gh: genesis}
+        self.height = {gh: 0}
+        self.pool = {}  # parent id -> {id: block}, in arrival order
+        self.tip = gh
+
+    def _spends_ok(self, block):
+        spends = [t.spend_id for t in block.transfers]
+        if len(set(spends)) != len(spends):
+            return False
+        h = block.header.parent_hash
+        while True:
+            ancestor = self.blocks[h]
+            if any(t.spend_id in spends for t in ancestor.transfers):
+                return False
+            if self.height[h] == 0:
+                return True
+            h = ancestor.header.parent_hash
+
+    def add(self, block):
+        bh = block_id(block)
+        parent = block.header.parent_hash
+        if bh in self.blocks:
+            return Verdict.VALID, ()
+        if parent not in self.blocks:
+            self.pool.setdefault(parent, {}).setdefault(bh, block)
+            return Verdict.ORPHAN, ()
+        if not self._spends_ok(block):
+            return Verdict.DOUBLE_SPEND, ()
+        accepted, todo = [], [(bh, block)]
+        while todo:
+            h, b = todo.pop()
+            if not self._spends_ok(b):  # the pool holds unchecked blocks
+                continue
+            self.blocks[h] = b
+            self.height[h] = self.height[b.header.parent_hash] + 1
+            if self.height[h] > self.height[self.tip]:
+                self.tip = h
+            accepted.append(h)
+            todo.extend(reversed(self.pool.pop(h, {}).items()))
+        return Verdict.VALID, tuple(accepted[1:])
+
+
+_SPEND_POOL = st.integers(0, 5)
+
+
+@st.composite
+def _spend_trees(draw):
+    n = draw(st.integers(1, 23))
+    parents = [draw(st.integers(0, i)) for i in range(n)]  # 0 is the genesis
+    spends = [draw(st.lists(_SPEND_POOL, max_size=2)) for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    return draw(_SPEND_POOL), parents, spends, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spend_trees())
+def test_spend_index_matches_naive_ancestor_walk(tree):
+    genesis_spend, parents, spends, order = tree
+    transfers = (Transfer(0, 1, 1, genesis_spend),)
+    genesis = Block(BlockHeader(1, bytes(32), transfers_commitment(transfers),
+                                0, EASY_BITS, 0), transfers)
+    target = target_from_compact(EASY_BITS)
+    ids, depth, blocks = [block_id(genesis)], [0], []
+    for i, (p, ids_spent) in enumerate(zip(parents, spends)):
+        txs = tuple(Transfer(i, p, 1, s) for s in ids_spent)
+        depth.append(depth[p] + 1)
+        # Unique timestamps, increasing along every branch.
+        template = BlockHeader(1, ids[p], transfers_commitment(txs),
+                               600 * depth[-1] + i, EASY_BITS, 0)
+        nonce = mine(template, generate_matrix(ids[p]), target, 0, 1 << 16,
+                     batch=64)
+        blocks.append(Block(template.with_nonce(nonce), txs))
+        ids.append(block_id(blocks[-1]))
+
+    index, model = ChainIndex(genesis), _NaiveSpendChain(genesis)
+    for i in order:
+        report = index.add_block(blocks[i])
+        verdict, accepted = model.add(blocks[i])
+        assert report.verdict is verdict
+        assert set(report.accepted_orphans) == set(accepted)
+    assert index.tip == model.tip
 
 
 # -- retarget boundary in chain context --------------------------------------------

@@ -9,8 +9,8 @@ from opow.heavyhash import (
     ParameterError,
     WeightMatrix,
     Xoshiro256PlusPlus,
+    _certified_full_rank,
     _draw_entries,
-    _full_rank_mod_p,
     _weight_digests,
     accumulator_max,
     digest_to_nibbles,
@@ -87,7 +87,7 @@ def test_xoshiro_matches_reference():
     for _ in range(20):
         seed = rng.randbytes(32)
         gen = Xoshiro256PlusPlus(seed)
-        ours = [gen.next_u64() for _ in range(40)]
+        ours = gen.next_words(15) + gen.next_words(1) + gen.next_words(24)
         assert ours == ref_xoshiro_words(seed, 40)
 
 
@@ -137,12 +137,27 @@ def test_full_rank_vs_fraction_oracle():
         assert matrix_is_full_rank(m2) == ref_rank_is_full(m2.tolist())
 
 
-def test_mod_p_certificate_agrees_with_exact():
+def test_certificate_refuses_singular_and_certifies_only_full_rank():
     rng = np.random.default_rng(23)
-    for _ in range(25):
-        m = rng.integers(0, 16, size=(16, 16))
-        if _full_rank_mod_p(m):
-            assert matrix_is_full_rank(m)
+    for dim in (16, 64, 16, 64, 16, 64):
+        m = rng.integers(0, 16, size=(dim, dim))
+        assert _certified_full_rank(m)  # all but always, for random nibbles
+        assert matrix_is_full_rank(m)
+        half = m // 2  # keeps row 0 + row 1 inside [0, 15]
+        row_sum = half.copy()
+        row_sum[-1] = half[0] + half[1]
+        repeated_row, repeated_col, zero_row = m.copy(), m.copy(), m.copy()
+        repeated_row[-1] = m[0]
+        repeated_col[:, -1] = m[:, 0]
+        zero_row[dim // 2] = 0
+        for singular in (repeated_row, repeated_col, row_sum, zero_row,
+                         np.ones_like(m)):
+            assert not _certified_full_rank(singular)
+    # Full rank, but its inverse holds entries up to 15**63: the certificate
+    # refuses it, which leaves the verdict to the exact test.
+    ill = np.eye(64, dtype=np.int64) + 15 * np.eye(64, k=1, dtype=np.int64)
+    assert not _certified_full_rank(ill)
+    assert matrix_is_full_rank(ill)
 
 
 def test_first_candidate_full_rank_rate():
@@ -153,7 +168,7 @@ def test_first_candidate_full_rank_rate():
     n = 10_000
     for _ in range(n):
         entries = _draw_entries(Xoshiro256PlusPlus(rng.randbytes(32)), 64)
-        if _full_rank_mod_p(entries) or matrix_is_full_rank(entries):
+        if _certified_full_rank(entries) or matrix_is_full_rank(entries):
             full += 1
     assert full / n > 0.99
 
