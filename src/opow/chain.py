@@ -142,7 +142,6 @@ class ChainIndex:
     def __init__(self, genesis: Block, params: RetargetParams = RetargetParams()):
         self.params = params
         self._entries: dict[bytes, _Entry] = {}
-        self._children: dict[bytes, list[bytes]] = {}
         self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
         self._matrices: dict[bytes, WeightMatrix] = {}
         self._spenders: dict[int, list[bytes]] = {}  # spend id -> carrier ids
@@ -263,6 +262,7 @@ class ChainIndex:
             self._orphans.setdefault(block.header.parent_hash, {}).setdefault(bh, block)
             return AddReport(Verdict.ORPHAN, bh, new_tip=self.tip)
         if verdict is not Verdict.VALID:
+            self._discard_pooled(bh)
             return AddReport(verdict, bh, new_tip=self.tip)
 
         old_tip = self.tip
@@ -286,7 +286,6 @@ class ChainIndex:
                        parent.cumulative_work + work, self._seq)
         self._entries[bh] = entry
         self._index_spends(block, bh)
-        self._children.setdefault(parent.hash, []).append(bh)
         # Strictly more work displaces the tip; equal work keeps first-inserted.
         if entry.cumulative_work > self._entries[self.tip].cumulative_work:
             self.tip = bh
@@ -307,6 +306,21 @@ class ChainIndex:
                 self._insert(block, bh)
                 accepted.append(bh)
                 stack.append(iter(self._orphans.pop(bh, {}).items()))
+            else:
+                self._discard_pooled(bh)
+
+    def _discard_pooled(self, bh: bytes) -> None:
+        """Drop the orphans pooled under a rejected block, and theirs.
+
+        Only blocks refused for their PoW, target, timestamp or a double
+        spend come here.  Those verdicts depend only on the block and its
+        ancestors, and the id fixes both (the header names the parent and
+        commits to the transfers), so no block with this id can ever be
+        inserted.  A bad commitment does not come here: the genuine block
+        with that header may still arrive."""
+        stack = [bh]
+        while stack:
+            stack.extend(self._orphans.pop(stack.pop(), {}))
 
     def _common_ancestor(self, a_hash: bytes, b_hash: bytes) -> _Entry:
         a = self._entries[a_hash]

@@ -29,6 +29,7 @@ from .configio import (
     as_hex,
     as_int,
     as_str,
+    given,
 )
 from .heavyhash import (
     DIGEST_SIZE,
@@ -176,7 +177,7 @@ def _mine(args, cfg: dict) -> list[dict]:
     )
     matrix_seed = cfg.get("matrix_seed", parent)
     matrix = generate_matrix(matrix_seed)
-    params = HeavyHashParams(rounds=cfg.get("rounds", 1))
+    params = HeavyHashParams(**given(cfg, "rounds"))
     start = cfg.get("nonce_start", 0)
     count = cfg.get("nonce_count", 1 << 20)
     nonce = mine(template, matrix, target, start, count, params)
@@ -211,7 +212,7 @@ def _verify(args, cfg: dict) -> list[dict]:
     header = deserialize_header(cfg["header_hex"])
     matrix_seed = cfg.get("matrix_seed", header.parent_hash)
     matrix = generate_matrix(matrix_seed)
-    params = HeavyHashParams(rounds=cfg.get("rounds", 1))
+    params = HeavyHashParams(**given(cfg, "rounds"))
     try:
         target = target_from_compact(header.compact_target)
     except ValueError:
@@ -240,9 +241,8 @@ _CHAINSIM_SCHEMA = {
 def _chainsim(args, cfg: dict) -> list[dict]:
     hashrate = cfg.get("hashrate", 1.0e6)
     initial_interval = cfg.get("initial_interval", 9600.0)
-    params = RetargetParams(window=cfg.get("window", 64),
-                            expected_interval=cfg.get("expected_interval", 600),
-                            clamp_factor=cfg.get("clamp_factor", 4))
+    params = RetargetParams(**given(cfg, "window", "expected_interval",
+                                    "clamp_factor"))
     n_windows = cfg.get("n_windows", 6)
     if hashrate <= 0 or initial_interval <= 0 or n_windows <= 0:
         raise ConfigError("hashrate, initial_interval, n_windows must be positive")
@@ -253,8 +253,7 @@ def _chainsim(args, cfg: dict) -> list[dict]:
         raise ConfigError("initial interval/hashrate give an unusable target")
     points = simulate_retarget_chain(int(quotient), hashrate,
                                      n_windows * params.window, params,
-                                     stochastic=cfg.get("stochastic", False),
-                                     seed=args.seed)
+                                     seed=args.seed, **given(cfg, "stochastic"))
     means = window_mean_intervals(points, params.window)
     records = [{
         "record": "window",
@@ -283,9 +282,7 @@ def _attack(args, cfg: dict) -> list[dict]:
         raise ConfigError("attack needs q and z (or a miners scenario)")
     stats = netsim.attack_monte_carlo(
         cfg["q"], cfg["z"], cfg.get("runs", 100_000), seed=args.seed,
-        threads=args.threads,
-        horizon_blocks=cfg.get("horizon_blocks", 10_000),
-        abandon_margin=cfg.get("abandon_margin", netsim.DEFAULT_ABANDON_MARGIN))
+        threads=args.threads, **given(cfg, "horizon_blocks", "abandon_margin"))
     return [{
         "record": "attack",
         "q": stats.q,
@@ -340,19 +337,16 @@ _PHOTONIC_SCHEMA = {
 
 def _photonic(args, cfg: dict) -> list[dict]:
     seed_bytes = cfg.get("matrix_seed", _ZERO_SEED)
-    dim = cfg.get("dim", 64)
-    matrix = generate_matrix(seed_bytes, dim=dim)
+    matrix = generate_matrix(seed_bytes, **given(cfg, "dim"))
     synth = photonic.synthesis_for(matrix)
-    grid = [photonic.NoiseModel(phase_sigma=s,
-                                detector_sigma=cfg.get("detector_sigma", 0.0),
-                                adc_bits=cfg.get("adc_bits", 24))
+    noise = given(cfg, "detector_sigma", "adc_bits")
+    grid = [photonic.NoiseModel(phase_sigma=s, **noise)
             for s in cfg.get("phase_sigmas", [0.0, 0.01, 0.05, 0.1])]
-    rows = photonic.fidelity_sweep(matrix, grid,
-                                   samples=cfg.get("samples", 1000),
-                                   seed=args.seed)
+    rows = photonic.fidelity_sweep(matrix, grid, seed=args.seed,
+                                   **given(cfg, "samples"))
     records: list[dict] = [{
         "record": "synthesis",
-        "dim": dim,
+        "dim": matrix.dim,
         "scale": synth.scale,
         "reconstruction_residual": photonic.synthesis_residual(synth, matrix),
     }]
@@ -395,7 +389,7 @@ def _econ(args, cfg: dict) -> list[dict]:
     mode = cfg.get("mode", "resilience")
     market = econ.MarketState(reward_value=cfg.get("reward_value", 100_000.0),
                               block_interval=cfg.get("block_interval", 600.0))
-    n_cohorts = cfg.get("n_cohorts", 100)
+    n_cohorts = given(cfg, "n_cohorts")
     custom = _custom_fleet(cfg)
     # (label, fleet) rows: a custom fleet alone, labelled "custom", or one
     # synthetic fleet per share, labelled with its share.
@@ -403,7 +397,7 @@ def _econ(args, cfg: dict) -> list[dict]:
         multipliers = cfg.get("multipliers",
                               [round(0.05 * i, 2) for i in range(1, 21)])
         fleets = [("custom", custom)] if custom is not None else [
-            (share, econ.synthetic_fleet(share, market, n_cohorts=n_cohorts))
+            (share, econ.synthetic_fleet(share, market, **n_cohorts))
             for share in cfg.get("opex_shares", [0.1, 0.9])]
         return [{"record": "resilience", "opex_share": label,
                  "multiplier": mult, "active_fraction": frac}
@@ -411,7 +405,7 @@ def _econ(args, cfg: dict) -> list[dict]:
                 for mult, frac in econ.resilience_curve(fleet, market, multipliers)]
     if mode == "attack-cost":
         duration = cfg.get("duration_days", 1.0) * econ.SECONDS_PER_DAY
-        multiple = cfg.get("hardware_price_multiple", 1.0)
+        multiple = given(cfg, "hardware_price_multiple")
         cost_rate = market.reward_rate  # competitive: cost per block = reward
         fleets = [("custom", custom)] if custom is not None else [
             (share, econ.MinerFleet((econ.Cohort(
@@ -421,13 +415,13 @@ def _econ(args, cfg: dict) -> list[dict]:
                                  [round(0.1 * i, 1) for i in range(1, 10)])]
         records = []
         for label, fleet in fleets:
-            cost = econ.attack_cost(fleet, market, duration, multiple)
+            cost = econ.attack_cost(fleet, market, duration, **multiple)
             records.append({"record": "attack_cost", "capex_share": label,
                             "capex": cost.capex, "opex": cost.opex,
                             "total": cost.total})
         return records
     if mode == "calibrated-drop":
-        fleet = econ.bitcoin_like_fleet(market, n_cohorts=n_cohorts)
+        fleet = econ.bitcoin_like_fleet(market, **n_cohorts)
         return [{"record": "calibrated_drop", "multiplier": mult,
                  "active_fraction": frac, "drop": 1.0 - frac}
                 for mult, frac in econ.resilience_curve(

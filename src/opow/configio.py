@@ -96,6 +96,12 @@ def load_config(path: str, schema: Mapping[str, Callable[[str], object]]) -> dic
     return parse_config_text(text, schema)
 
 
+def given(cfg: Mapping[str, object], *keys: str) -> dict:
+    """The subset of `keys` that the config sets, as keyword arguments: a
+    key left out falls back to the default of the signature it is passed to."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def header_record(command: str, seed: int, config: Mapping[str, object]) -> dict:
     """Leading record carrying the run configuration as given: keys left
     out of the config are not echoed with their defaults.

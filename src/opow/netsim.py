@@ -23,7 +23,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .configio import as_bool, as_float, as_float_list, as_int, as_str_list
+from .configio import as_bool, as_float, as_float_list, as_int, as_str_list, given
 
 HONEST = "honest"
 ATTACKER = "attacker"
@@ -207,13 +207,15 @@ def scenario_from_config(cfg: dict, seed: int) -> SimScenario:
         except ValueError as exc:
             raise ConfigurationError(f"bad miner fraction in {item!r}") from exc
         miners.append(MinerSpec(parts[0], fraction, role))
-    latency: object = 0.0
+    kwargs = given(cfg, "mean_block_interval", "horizon_blocks",
+                   "horizon_seconds", "confirmations", "integrated",
+                   "abandon_margin")
     if "latency" in cfg:
         values = cfg["latency"]
         if len(values) == 1:
-            latency = values[0]
+            kwargs["latency"] = values[0]
         elif len(values) == 2:
-            latency = (values[0], values[1])
+            kwargs["latency"] = (values[0], values[1])
         else:
             raise ConfigurationError("latency takes one value or a lo,hi pair")
     partitions = []
@@ -228,18 +230,8 @@ def scenario_from_config(cfg: dict, seed: int) -> SimScenario:
             raise ConfigurationError(f"bad partition times in {item!r}") from exc
         side = frozenset(s for s in parts[2].split("|") if s)
         partitions.append(PartitionWindow(start, end, side))
-    return SimScenario(
-        seed=seed,
-        miners=tuple(miners),
-        mean_block_interval=cfg.get("mean_block_interval", 600.0),
-        latency=latency,
-        horizon_blocks=cfg.get("horizon_blocks"),
-        horizon_seconds=cfg.get("horizon_seconds"),
-        confirmations=cfg.get("confirmations", 6),
-        partitions=tuple(partitions),
-        integrated=cfg.get("integrated", False),
-        abandon_margin=cfg.get("abandon_margin", DEFAULT_ABANDON_MARGIN),
-    )
+    return SimScenario(seed=seed, miners=tuple(miners),
+                       partitions=tuple(partitions), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +285,7 @@ def nakamoto_probability(q: float, z: int) -> float:
 @dataclass
 class _NodeState:
     tip: int = 0
-    height: int = 0
     reorgs: int = 0
-
-
-@dataclass
-class _BlockInfo:
-    block_id: int
-    parent: int
-    height: int
-    miner: str
-    time: float
-    published: bool
 
 
 class _Engine:
@@ -313,9 +294,9 @@ class _Engine:
         self.rng = random.Random(sc.seed)
         self.heap: list = []
         self.seq = 0
-        self.blocks = [_BlockInfo(0, -1, 0, "genesis", 0.0, True)]
+        # Every block created, genesis first; the timeline is blocks[1:].
+        self.blocks = [BlockRecord(0, -1, 0, "genesis", 0.0, False)]
         self.nodes = {m.miner_id: _NodeState() for m in sc.miners}
-        self.records: list[BlockRecord] = []
         self.divergences: list[DivergenceReport] = []
         self.rates = {m.miner_id: m.fraction / sc.mean_block_interval
                       for m in sc.miners}
@@ -325,10 +306,8 @@ class _Engine:
         self.attacker_id = att.miner_id if att else None
         self.attacker_q = att.fraction if att else 0.0
         self.att_started = False
-        self.att_done = False        # success already declared
         self.att_gave_up = False
         self.private_tip = 0
-        self.private_height = 0
         self.private_ids: list[int] = []
         self.public_best = 0
         self.success: Optional[bool] = False if att else None
@@ -358,101 +337,83 @@ class _Engine:
             return self.rng.uniform(lo, hi) if hi > lo else lo
         return float(lat)
 
-    def _window_at(self, t: float):
-        for i, w in enumerate(self.sc.partitions):
-            if w.start <= t < w.end:
-                return i, w
-        return None
-
-    def _same_side(self, a: str, b: str, t: float) -> bool:
-        active = self._window_at(t)
-        if active is None:
-            return True
-        _, w = active
-        return (a in w.side) == (b in w.side)
-
     def _adopt(self, node_id: str, block_id: int) -> None:
         node = self.nodes[node_id]
-        info = self.blocks[block_id]
-        if info.height > node.height:  # strict: equal height keeps first-seen
-            if self._fork_point(block_id, node.tip) != node.height:
+        height = self.blocks[node.tip].height
+        if self.blocks[block_id].height > height:  # equal height keeps first-seen
+            if self._fork_point(block_id, node.tip) != height:
                 node.reorgs += 1  # the old tip is not an ancestor
-            node.tip = info.block_id
-            node.height = info.height
+            node.tip = block_id
 
     def _broadcast(self, sender: str, block_id: int, t: float) -> None:
+        # A partition window open at t holds every delivery across its cut.
+        idx, w = next(((i, w) for i, w in enumerate(self.sc.partitions)
+                       if w.start <= t < w.end), (None, None))
         for other in self.nodes:
             if other == sender:
                 continue
-            if self._same_side(sender, other, t):
-                self._push(t + self._latency(), "deliver", (other, block_id))
-            else:
-                idx, _ = self._window_at(t)
+            if w is not None and (sender in w.side) != (other in w.side):
                 self.held.setdefault(idx, []).append((other, block_id))
+            else:
+                self._push(t + self._latency(), "deliver", (other, block_id))
 
     def _new_block(self, parent: int, miner: str, t: float,
-                   published: bool) -> _BlockInfo:
-        info = _BlockInfo(len(self.blocks), parent,
-                          self.blocks[parent].height + 1, miner, t, published)
-        self.blocks.append(info)
-        self.records.append(BlockRecord(info.block_id, parent, info.height,
-                                        miner, t, not published))
-        return info
+                   private: bool) -> BlockRecord:
+        record = BlockRecord(len(self.blocks), parent,
+                             self.blocks[parent].height + 1, miner, t, private)
+        self.blocks.append(record)
+        return record
 
     def _blocks_left(self) -> bool:
         # Once an attack is decided (caught up or hopeless) nothing left in
         # the scenario changes, so block production stops early.
-        if self.attacker_id is not None and (self.att_done or self.att_gave_up):
+        if self.success or self.att_gave_up:
             return False
         hb = self.sc.horizon_blocks
-        return hb is None or len(self.records) < hb
+        return hb is None or len(self.blocks) - 1 < hb  # genesis is not created
 
     def _check_attack_trigger(self, t: float) -> None:
         if (self.attacker_id is None or self.att_started or self.att_gave_up):
             return
         if self.public_best >= self.sc.confirmations:
             self.att_started = True
-            if self.private_height >= self.public_best:
+            if self.blocks[self.private_tip].height >= self.public_best:
                 self._attack_succeed(t)  # z == 0: nothing to catch up
             self._schedule_mine(t, self.attacker_id)
 
     def _attack_succeed(self, t: float) -> None:
+        # Production stops here (see _blocks_left); only deliveries remain.
         self.success = True
-        self.att_done = True
         for bid in self.private_ids:
-            self.blocks[bid].published = True
             self._broadcast(self.attacker_id, bid, t)
-        self.public_best = max(self.public_best, self.private_height)
-        self.private_ids.clear()
 
     # -- event handlers ----------------------------------------------------
 
     def _on_mine(self, t: float, miner_id: str) -> None:
         if not self._blocks_left():
             return
-        if miner_id == self.attacker_id and not self.att_done:
+        if miner_id == self.attacker_id:
             self._attacker_mine(t)
             return
         node = self.nodes[miner_id]
-        info = self._new_block(node.tip, miner_id, t, published=True)
-        self._adopt(miner_id, info.block_id)
-        self._broadcast(miner_id, info.block_id, t)
-        self.public_best = max(self.public_best, info.height)
+        record = self._new_block(node.tip, miner_id, t, private=False)
+        self._adopt(miner_id, record.block_id)
+        self._broadcast(miner_id, record.block_id, t)
+        self.public_best = max(self.public_best, record.height)
         self._check_attack_trigger(t)
         self._schedule_mine(t, miner_id)
 
     def _attacker_mine(self, t: float) -> None:
-        info = self._new_block(self.private_tip, self.attacker_id, t,
-                               published=False)
-        self.private_tip = info.block_id
-        self.private_height = info.height
-        self.private_ids.append(info.block_id)
-        self._adopt(self.attacker_id, info.block_id)
-        if self.private_height >= self.public_best:
+        record = self._new_block(self.private_tip, self.attacker_id, t,
+                                 private=True)
+        self.private_tip = record.block_id
+        self.private_ids.append(record.block_id)
+        self._adopt(self.attacker_id, record.block_id)
+        if record.height >= self.public_best:
             self._attack_succeed(t)
             self._schedule_mine(t, self.attacker_id)
             return
-        deficit = self.public_best - self.private_height
+        deficit = self.public_best - record.height
         if (self.attacker_q < 0.5
                 and deficit > self.sc.confirmations + self.sc.abandon_margin):
             self.att_gave_up = True
@@ -477,12 +438,12 @@ class _Engine:
     def _fork_point(self, a: int, b: int) -> int:
         ia, ib = self.blocks[a], self.blocks[b]
         while ia.height > ib.height:
-            ia = self.blocks[ia.parent]
+            ia = self.blocks[ia.parent_id]
         while ib.height > ia.height:
-            ib = self.blocks[ib.parent]
+            ib = self.blocks[ib.parent_id]
         while ia.block_id != ib.block_id:
-            ia = self.blocks[ia.parent]
-            ib = self.blocks[ib.parent]
+            ia = self.blocks[ia.parent_id]
+            ib = self.blocks[ib.parent_id]
         return ia.height
 
     # -- main loop ---------------------------------------------------------
@@ -503,21 +464,23 @@ class _Engine:
         return self._result()
 
     def _result(self) -> SimResult:
-        best = max(self.nodes.values(), key=lambda n: n.height)
+        best = max(self.nodes.values(), key=lambda n: self.blocks[n.tip].height)
         times = []
-        info = self.blocks[best.tip]
-        while info.height > 0:
-            times.append(info.time)
-            info = self.blocks[info.parent]
+        record = self.blocks[best.tip]
+        while record.height > 0:
+            times.append(record.time)
+            record = self.blocks[record.parent_id]
         times.reverse()
+        timeline = tuple(self.blocks[1:])
         return SimResult(
             node_tips={n: s.tip for n, s in self.nodes.items()},
-            node_heights={n: s.height for n, s in self.nodes.items()},
+            node_heights={n: self.blocks[s.tip].height
+                          for n, s in self.nodes.items()},
             reorg_counts={n: s.reorgs for n, s in self.nodes.items()},
             attacker_success=self.success,
-            timeline=tuple(self.records),
+            timeline=timeline,
             divergences=tuple(self.divergences),
-            stats=_run_stats(self.records, times),
+            stats=_run_stats(timeline, times),
         )
 
 
@@ -561,6 +524,12 @@ class AttackStats:
         "success = private fork pulls level with the public chain after z "
         "confirmations; oracle (q/(1-q))**z is exact for this model, unlike "
         "the Poisson-corrected Nakamoto value")
+
+
+def _attack_stats(q: float, z: int, runs: int, successes: int) -> AttackStats:
+    return AttackStats(runs=runs, successes=successes, rate=successes / runs,
+                       oracle=catchup_probability(q, z),
+                       oracle_nakamoto=nakamoto_probability(q, z), q=q, z=z)
 
 
 # Draws per replica taken from the generator at once.  Part of the stream
@@ -613,10 +582,7 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
             if cap is not None:
                 undecided &= deficit < cap
         steps += k
-    n_success = int(success.sum())
-    return AttackStats(runs=runs, successes=n_success, rate=n_success / runs,
-                       oracle=catchup_probability(q, z),
-                       oracle_nakamoto=nakamoto_probability(q, z), q=q, z=z)
+    return _attack_stats(q, z, runs, int(success.sum()))
 
 
 def attack_monte_carlo(q: float, z: int, runs: int, seed: int = 0,
@@ -641,10 +607,7 @@ def attack_monte_carlo(q: float, z: int, runs: int, seed: int = 0,
     else:
         shards = [attack_success_rate(q, z, size, seed + i, **kwargs)
                   for i, size in enumerate(sizes)]
-    successes = sum(s.successes for s in shards)
-    return AttackStats(runs=runs, successes=successes, rate=successes / runs,
-                       oracle=catchup_probability(q, z),
-                       oracle_nakamoto=nakamoto_probability(q, z), q=q, z=z)
+    return _attack_stats(q, z, runs, sum(s.successes for s in shards))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,46 @@ def test_bogus_copy_of_an_orphan_cannot_displace_it(index):
     assert fresh.entry(block_id(b2)).block.transfers == b2.transfers
 
 
+def easy_child(parent_hash, timestamp, transfers=()):
+    """A winning EASY_BITS child of any parent id, known to an index or not."""
+    template = BlockHeader(1, parent_hash, transfers_commitment(transfers),
+                           timestamp, EASY_BITS, 0)
+    nonce = mine(template, generate_matrix(parent_hash),
+                 target_from_compact(EASY_BITS), 0, 1 << 16, batch=64)
+    return Block(template.with_nonce(nonce), transfers)
+
+
+def test_rejected_block_drops_its_pooled_descendants(index):
+    tip = build_chain(index, 2, spend_base=500)
+    # Rejected on arrival: the child and grandchild pooled under it go too.
+    bad = easy_child(tip, 5_000, (Transfer(7, 8, 1, 500),))
+    child = easy_child(block_id(bad), 5_600)
+    grand = easy_child(block_id(child), 6_200)
+    for block in (grand, child):
+        assert index.add_block(block).verdict is Verdict.ORPHAN
+    assert index.add_block(bad).verdict is Verdict.DOUBLE_SPEND
+    assert index._orphans == {}
+    # Rejected when its parent drains it: its own pooled child goes too.
+    parent = easy_child(tip, 5_000)
+    bad = easy_child(block_id(parent), 5_600, (Transfer(7, 8, 1, 501),))
+    child = easy_child(block_id(bad), 6_200)
+    for block in (child, bad):
+        assert index.add_block(block).verdict is Verdict.ORPHAN
+    report = index.add_block(parent)
+    assert report.verdict is Verdict.VALID and report.accepted_orphans == ()
+    assert index._orphans == {}
+
+
+def test_bad_commitment_keeps_the_pool_for_the_genuine_block(index):
+    good = easy_child(index.genesis_hash, 600, (Transfer(1, 2, 3, 4),))
+    child = easy_child(block_id(good), 1_200)
+    assert index.add_block(child).verdict is Verdict.ORPHAN
+    copy = Block(good.header, ())  # same header id, other transfers
+    assert index.add_block(copy).verdict is Verdict.BAD_COMMITMENT
+    report = index.add_block(good)
+    assert report.accepted_orphans == (block_id(child),)
+
+
 def test_copy_of_an_accepted_block_with_other_transfers(index):
     report = extend(index, index.genesis_hash, 600, (Transfer(1, 2, 3, 4),))
     genuine = index.entry(report.block_hash).block

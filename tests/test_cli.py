@@ -2,10 +2,24 @@ import hashlib
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from opow import econ, netsim, photonic
 from opow.cli import _COMMANDS, main
 from opow.configio import ConfigError, parse_config_text
+from opow.heavyhash import HeavyHashParams, generate_matrix, heavyhash
+from opow.pow import (
+    BlockHeader,
+    RetargetParams,
+    TARGET_SPACE,
+    compact_from_target,
+    mine,
+    serialize_header,
+    simulate_retarget_chain,
+    target_from_compact,
+    window_mean_intervals,
+)
 
 
 def read_records(path):
@@ -343,3 +357,165 @@ def test_reproducible_records_modulo_header_timestamp(tmp_path):
     h1, h2 = first[0], second[0]
     h1.pop("generated_at"), h2.pop("generated_at")
     assert h1 == h2
+
+
+# -- config keys whose default lives in the callee -----------------------------
+# The CLI passes these keys on only when the config sets them.  Setting one
+# must give exactly the records of the API called with that value, and
+# records that differ from leaving it out (the callee's default).
+
+_ZERO = bytes(32)
+_MARKET = econ.MarketState(reward_value=100_000.0, block_interval=600.0)
+_HEADER = BlockHeader(1, _ZERO, _ZERO, 0, compact_from_target(1 << 255), 7)
+_PAIR = (netsim.MinerSpec("a", 0.5), netsim.MinerSpec("b", 0.5))
+_RACE = (netsim.MinerSpec("a", 0.7), netsim.MinerSpec("x", 0.3, "attacker"))
+
+
+def _rows(recs):
+    """Records without the keys the CLI adds to the API's values."""
+    return [{k: v for k, v in r.items() if k not in ("record", "run")}
+            for r in recs]
+
+
+def _mined(rounds):
+    target = target_from_compact(compact_from_target(1 << 252))
+    template = BlockHeader(1, _ZERO, _ZERO, 0, compact_from_target(target), 0)
+    params = HeavyHashParams(rounds=rounds)
+    nonce = mine(template, generate_matrix(_ZERO), target, 0, 1 << 20, params)
+    header = serialize_header(template.with_nonce(nonce))
+    return nonce, heavyhash(params, generate_matrix(_ZERO), header).hex()
+
+
+def _window_means(recs):
+    return [r["mean_interval"] for r in recs if r["record"] == "window"]
+
+
+def _retarget(stochastic=False, **params):
+    params = RetargetParams(**params)
+    points = simulate_retarget_chain(int(TARGET_SPACE / (1e6 * 9600.0)), 1e6,
+                                     4 * params.window, params,
+                                     stochastic=stochastic, seed=0)
+    return window_mean_intervals(points, params.window)
+
+
+def _attack_successes(**race):
+    return netsim.attack_monte_carlo(0.3, 3, 2000, seed=0, **race).successes
+
+
+def _photonic(recs):
+    return recs[0]["dim"], _rows(recs[1:])
+
+
+def _sweep(dim=16, samples=20, **noise):
+    grid = [photonic.NoiseModel(phase_sigma=0.05, **noise)]
+    matrix = generate_matrix(_ZERO, dim=dim)
+    return dim, photonic.fidelity_sweep(matrix, grid, samples=samples, seed=0)
+
+
+def _active(recs):
+    return [r["active_fraction"] for r in recs]
+
+
+def _curve(fleet, multiplier):
+    return [f for _, f in econ.resilience_curve(fleet, _MARKET, [multiplier])]
+
+
+def _scenario(miners, **fields):
+    sc = netsim.SimScenario(seed=0, miners=miners, **fields)
+    return [netsim.run_scenario(sc).to_dict()]
+
+
+_PHOT = "phase_sigmas = 0.05\n"
+_TWO = "miners = a:0.5, b:0.5\n"
+_RACE_CFG = "miners = a:0.7, x:0.3:attacker\nhorizon_blocks = 60\n"
+_HALF = 0.5 * _MARKET.reward_rate
+
+# command, config without the key, the key's line, records -> compared value,
+# the API's value for that setting
+_CALLEE_DEFAULTS = [
+    pytest.param("mine", "target_exponent = 252\n", "rounds = 2",
+                 lambda recs: (recs[0]["nonce"], recs[0]["digest"]),
+                 lambda: _mined(2), id="mine-rounds"),
+    pytest.param("verify", f"header_hex = {serialize_header(_HEADER).hex()}\n",
+                 "rounds = 2", lambda recs: recs[0]["digest"],
+                 lambda: heavyhash(HeavyHashParams(rounds=2), generate_matrix(_ZERO),
+                                   serialize_header(_HEADER)).hex(),
+                 id="verify-rounds"),
+    # Deterministic window means do not depend on the window size.
+    pytest.param("chainsim", "n_windows = 4\nstochastic = true\n", "window = 16",
+                 _window_means, lambda: _retarget(True, window=16),
+                 id="chainsim-window"),
+    pytest.param("chainsim", "n_windows = 4\n", "expected_interval = 300",
+                 _window_means, lambda: _retarget(expected_interval=300),
+                 id="chainsim-expected_interval"),
+    pytest.param("chainsim", "n_windows = 4\n", "clamp_factor = 2",
+                 _window_means, lambda: _retarget(clamp_factor=2),
+                 id="chainsim-clamp_factor"),
+    pytest.param("chainsim", "n_windows = 4\n", "stochastic = true",
+                 _window_means, lambda: _retarget(True), id="chainsim-stochastic"),
+    pytest.param("attack", "q = 0.3\nz = 3\nruns = 2000\n", "horizon_blocks = 8",
+                 lambda recs: recs[0]["successes"],
+                 lambda: _attack_successes(horizon_blocks=8), id="attack-horizon_blocks"),
+    pytest.param("attack", "q = 0.3\nz = 3\nruns = 2000\n", "abandon_margin = 2",
+                 lambda recs: recs[0]["successes"],
+                 lambda: _attack_successes(abandon_margin=2), id="attack-abandon_margin"),
+    pytest.param("photonic", "samples = 20\n" + _PHOT, "dim = 16",
+                 _photonic, lambda: _sweep(), id="photonic-dim"),
+    pytest.param("photonic", "dim = 16\nsamples = 20\n" + _PHOT, "detector_sigma = 0.05",
+                 _photonic, lambda: _sweep(detector_sigma=0.05),
+                 id="photonic-detector_sigma"),
+    pytest.param("photonic", "dim = 16\nsamples = 20\n" + _PHOT, "adc_bits = 4",
+                 _photonic, lambda: _sweep(adc_bits=4), id="photonic-adc_bits"),
+    pytest.param("photonic", "dim = 16\n" + _PHOT, "samples = 20",
+                 _photonic, lambda: _sweep(), id="photonic-samples"),
+    pytest.param("econ", "mode = resilience\nopex_shares = 0.5\nmultipliers = 0.5\n",
+                 "n_cohorts = 7", _active,
+                 lambda: _curve(econ.synthetic_fleet(0.5, _MARKET, n_cohorts=7), 0.5),
+                 id="econ-resilience-n_cohorts"),
+    pytest.param("econ", "mode = calibrated-drop\nmultipliers = 0.55\n",
+                 "n_cohorts = 9", _active,
+                 lambda: _curve(econ.bitcoin_like_fleet(_MARKET, n_cohorts=9), 0.55),
+                 id="econ-calibrated-drop-n_cohorts"),
+    pytest.param("econ", "mode = attack-cost\ncapex_shares = 0.5\n",
+                 "hardware_price_multiple = 2.5", lambda recs: [r["total"] for r in recs],
+                 lambda: [econ.attack_cost(
+                     econ.MinerFleet((econ.Cohort(1.0, _HALF, _HALF),)),
+                     _MARKET, econ.SECONDS_PER_DAY, 2.5).total],
+                 id="econ-hardware_price_multiple"),
+    pytest.param("attack", _TWO + "horizon_blocks = 20\n", "mean_block_interval = 60",
+                 _rows,
+                 lambda: _scenario(_PAIR, horizon_blocks=20, mean_block_interval=60.0),
+                 id="scenario-mean_block_interval"),
+    pytest.param("attack", _TWO + "horizon_blocks = 20\n", "latency = 30",
+                 _rows, lambda: _scenario(_PAIR, horizon_blocks=20, latency=30.0),
+                 id="scenario-latency"),
+    pytest.param("attack", _TWO + "horizon_blocks = 20\n", "latency = 5,900",
+                 _rows, lambda: _scenario(_PAIR, horizon_blocks=20, latency=(5.0, 900.0)),
+                 id="scenario-latency-range"),
+    pytest.param("attack", _TWO + "horizon_seconds = 20000\n", "horizon_blocks = 10",
+                 _rows,
+                 lambda: _scenario(_PAIR, horizon_blocks=10, horizon_seconds=20000.0),
+                 id="scenario-horizon_blocks"),
+    pytest.param("attack", _TWO + "horizon_blocks = 30\n", "horizon_seconds = 6000",
+                 _rows,
+                 lambda: _scenario(_PAIR, horizon_blocks=30, horizon_seconds=6000.0),
+                 id="scenario-horizon_seconds"),
+    pytest.param("attack", _RACE_CFG, "confirmations = 2",
+                 _rows, lambda: _scenario(_RACE, horizon_blocks=60, confirmations=2),
+                 id="scenario-confirmations"),
+    pytest.param("attack", _RACE_CFG, "abandon_margin = 1",
+                 _rows, lambda: _scenario(_RACE, horizon_blocks=60, abandon_margin=1),
+                 id="scenario-abandon_margin"),
+    pytest.param("attack", _TWO + "horizon_blocks = 5\n", "integrated = true",
+                 _rows, lambda: _scenario(_PAIR, horizon_blocks=5, integrated=True),
+                 id="scenario-integrated"),
+]
+
+
+@pytest.mark.parametrize("command, base, line, project, api", _CALLEE_DEFAULTS)
+def test_config_key_reaches_the_callee(tmp_path, command, base, line, project, api):
+    _, out = run(tmp_path, command, base + line + "\n")
+    setting = project(read_records(out)[1:])
+    _, out = run(tmp_path, command, base)
+    assert setting == api()
+    assert setting != project(read_records(out)[1:])

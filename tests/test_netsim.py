@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -105,6 +106,33 @@ def test_run_is_deterministic_and_serializable():
     a = json.dumps(run_scenario(sc).to_dict(), sort_keys=True)
     b = json.dumps(run_scenario(sc).to_dict(), sort_keys=True)
     assert a == b
+
+
+# Seeded records pinned byte for byte: an attacker that catches up, partitions
+# with a latency range, and a run bounded by horizon_seconds.
+_PINNED_RUNS = [
+    (SimScenario(seed=42, miners=(MinerSpec("h1", 0.3), MinerSpec("h2", 0.25),
+                                  MinerSpec("att", 0.45, "attacker")),
+                 mean_block_interval=60.0, latency=(0.5, 20.0), horizon_blocks=400,
+                 confirmations=4, abandon_margin=12),
+     "e47f57c89a85c0a430e20dabe1450a8dfd93e8d83fc1b569da06d90b6aff6833"),
+    (SimScenario(seed=22, miners=(MinerSpec("a", 0.5), MinerSpec("b", 0.3),
+                                  MinerSpec("c", 0.2)),
+                 latency=(1.0, 40.0), horizon_blocks=120,
+                 partitions=(PartitionWindow(1000.0, 9000.0, {"a"}),
+                             PartitionWindow(20000.0, 26000.0, {"b", "c"}))),
+     "6eb9bd7fd6e2fa214b182abf16e40b269005c75a413c08fe17acf5b0376beb27"),
+    (SimScenario(seed=23, miners=(MinerSpec("a", 0.6), MinerSpec("b", 0.4)),
+                 mean_block_interval=30.0, latency=(0.5, 5.0), horizon_seconds=7200.0),
+     "bf59fdd3324adc2b1b83a70ff5913414c6821f3cde872adffb0cfa07d9eef6b6"),
+]
+
+
+@pytest.mark.parametrize("scenario, sha256", _PINNED_RUNS,
+                         ids=["attacker", "partitions", "horizon-seconds"])
+def test_pinned_scenario_records(scenario, sha256):
+    text = json.dumps(run_scenario(scenario).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_even_split_attacker_succeeds():
