@@ -143,7 +143,7 @@ class ChainIndex:
         self.params = params
         self._entries: dict[bytes, _Entry] = {}
         self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
-        self._matrices: dict[bytes, WeightMatrix] = {}
+        self._matrix: Optional[WeightMatrix] = None  # the last one derived
         self._spenders: dict[int, list[bytes]] = {}  # spend id -> carrier ids
         self._seq = 0
         # Genesis is the trust anchor: stored as-is, never PoW-validated.
@@ -166,11 +166,9 @@ class ChainIndex:
         return self._entries[self.tip]
 
     def matrix_for(self, parent_hash: bytes) -> WeightMatrix:
-        m = self._matrices.get(parent_hash)
-        if m is None:
-            m = generate_matrix(parent_hash)
-            self._matrices[parent_hash] = m
-        return m
+        if self._matrix is None or self._matrix.seed != parent_hash:
+            self._matrix = generate_matrix(parent_hash)
+        return self._matrix
 
     def ancestors(self, block_hash: bytes) -> Iterator[_Entry]:
         """Entries from the given block back to genesis, inclusive."""

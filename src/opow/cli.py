@@ -273,6 +273,7 @@ def _chainsim(args, cfg: dict) -> list[dict]:
 # its horizon_blocks and abandon_margin also bound the Monte Carlo).
 _ATTACK_SCHEMA = {"q": as_float, "z": as_int, "runs": as_int,
                   **netsim.SCENARIO_SCHEMA}
+_RACE_KEYS = ("q", "z", "runs", "horizon_blocks", "abandon_margin")
 
 
 def _attack(args, cfg: dict) -> list[dict]:
@@ -280,6 +281,9 @@ def _attack(args, cfg: dict) -> list[dict]:
         return _attack_engine_mode(args, cfg)
     if "q" not in cfg or "z" not in cfg:
         raise ConfigError("attack needs q and z (or a miners scenario)")
+    unused = [k for k in cfg if k not in _RACE_KEYS]
+    if unused:
+        raise ConfigError(f"scenario keys {', '.join(unused)} need a miners list")
     stats = netsim.attack_monte_carlo(
         cfg["q"], cfg["z"], cfg.get("runs", 100_000), seed=args.seed,
         threads=args.threads, **given(cfg, "horizon_blocks", "abandon_margin"))

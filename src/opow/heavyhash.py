@@ -255,14 +255,11 @@ def _weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
             ).astype(np.uint16)
 
 
-def _weighting(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
-    return (_weighting_sums(matrix, x) >> TRUNCATE_SHIFT).astype(np.uint8) & 0xF
-
-
 def _weight_digests(matrix: WeightMatrix, digests: bytes) -> bytes:
     # One round's middle stage over concatenated digests: t ^ x, packed.
     x = _split_nibbles(digests)
-    return _pack_nibbles(_weighting(matrix, x) ^ x)
+    t = (_weighting_sums(matrix, x) >> TRUNCATE_SHIFT).astype(np.uint8) & 0xF
+    return _pack_nibbles(t ^ x)
 
 
 def _check_nibbles(matrix: WeightMatrix, x) -> np.ndarray:
@@ -283,7 +280,7 @@ def weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
 
 def weighting(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
     """Truncated weighting t_i = ((M @ x)_i >> 10) & 0xF; vector or batch."""
-    return _weighting(matrix, _check_nibbles(matrix, x)).astype(np.int64)
+    return (weighting_sums(matrix, x) >> TRUNCATE_SHIFT) & 0xF
 
 
 def heavyhash(params: HeavyHashParams, matrix: WeightMatrix, data: bytes) -> bytes:

@@ -282,12 +282,6 @@ def nakamoto_probability(q: float, z: int) -> float:
 # event-driven engine
 
 
-@dataclass
-class _NodeState:
-    tip: int = 0
-    reorgs: int = 0
-
-
 class _Engine:
     def __init__(self, sc: SimScenario):
         self.sc = sc
@@ -296,7 +290,8 @@ class _Engine:
         self.seq = 0
         # Every block created, genesis first; the timeline is blocks[1:].
         self.blocks = [BlockRecord(0, -1, 0, "genesis", 0.0, False)]
-        self.nodes = {m.miner_id: _NodeState() for m in sc.miners}
+        self.tips = {m.miner_id: 0 for m in sc.miners}  # node -> tip block id
+        self.reorgs = {m.miner_id: 0 for m in sc.miners}
         self.divergences: list[DivergenceReport] = []
         self.rates = {m.miner_id: m.fraction / sc.mean_block_interval
                       for m in sc.miners}
@@ -338,18 +333,18 @@ class _Engine:
         return float(lat)
 
     def _adopt(self, node_id: str, block_id: int) -> None:
-        node = self.nodes[node_id]
-        height = self.blocks[node.tip].height
+        tip = self.tips[node_id]
+        height = self.blocks[tip].height
         if self.blocks[block_id].height > height:  # equal height keeps first-seen
-            if self._fork_point(block_id, node.tip) != height:
-                node.reorgs += 1  # the old tip is not an ancestor
-            node.tip = block_id
+            if self._fork_point(block_id, tip) != height:
+                self.reorgs[node_id] += 1  # the old tip is not an ancestor
+            self.tips[node_id] = block_id
 
     def _broadcast(self, sender: str, block_id: int, t: float) -> None:
         # A partition window open at t holds every delivery across its cut.
         idx, w = next(((i, w) for i, w in enumerate(self.sc.partitions)
                        if w.start <= t < w.end), (None, None))
-        for other in self.nodes:
+        for other in self.tips:
             if other == sender:
                 continue
             if w is not None and (sender in w.side) != (other in w.side):
@@ -395,8 +390,7 @@ class _Engine:
         if miner_id == self.attacker_id:
             self._attacker_mine(t)
             return
-        node = self.nodes[miner_id]
-        record = self._new_block(node.tip, miner_id, t, private=False)
+        record = self._new_block(self.tips[miner_id], miner_id, t, private=False)
         self._adopt(miner_id, record.block_id)
         self._broadcast(miner_id, record.block_id, t)
         self.public_best = max(self.public_best, record.height)
@@ -422,11 +416,9 @@ class _Engine:
 
     def _on_heal(self, t: float, idx: int) -> None:
         w = self.sc.partitions[idx]
-        side_a = [n for n in self.nodes if n in w.side]
-        side_b = [n for n in self.nodes if n not in w.side]
-        tip_a = max((self.nodes[n].tip for n in side_a),
+        tip_a = max((b for n, b in self.tips.items() if n in w.side),
                     key=lambda b: self.blocks[b].height)
-        tip_b = max((self.nodes[n].tip for n in side_b),
+        tip_b = max((b for n, b in self.tips.items() if n not in w.side),
                     key=lambda b: self.blocks[b].height)
         ca = self._fork_point(tip_a, tip_b)
         self.divergences.append(DivergenceReport(
@@ -461,42 +453,41 @@ class _Engine:
                 self._adopt(node, bid)
             elif kind == "heal":
                 self._on_heal(t, data)
-        return self._result()
-
-    def _result(self) -> SimResult:
-        best = max(self.nodes.values(), key=lambda n: self.blocks[n.tip].height)
-        times = []
-        record = self.blocks[best.tip]
-        while record.height > 0:
-            times.append(record.time)
-            record = self.blocks[record.parent_id]
-        times.reverse()
-        timeline = tuple(self.blocks[1:])
-        return SimResult(
-            node_tips={n: s.tip for n, s in self.nodes.items()},
-            node_heights={n: self.blocks[s.tip].height
-                          for n, s in self.nodes.items()},
-            reorg_counts={n: s.reorgs for n, s in self.nodes.items()},
-            attacker_success=self.success,
-            timeline=timeline,
-            divergences=tuple(self.divergences),
-            stats=_run_stats(timeline, times),
-        )
+        return _sim_result(self.blocks, self.tips, self.reorgs, self.success,
+                           self.divergences)
 
 
-def _run_stats(records: list[BlockRecord], best_times: list[float]) -> dict:
-    """Run summary of both modes from every block created and the times of
-    the best chain's blocks after genesis (at t = 0), oldest first."""
-    intervals = [b - a for a, b in zip([0.0] + best_times, best_times)]
+def _sim_result(blocks: list[BlockRecord], tips: dict, reorgs: dict,
+                success: Optional[bool], divergences: list) -> SimResult:
+    """Result and run summary of both modes.  `blocks` holds every block
+    created, genesis first at t = 0, indexed by block id; `tips` maps each
+    node to its tip's id.  The summary follows the highest tip's chain."""
+    best = max(tips.values(), key=lambda b: blocks[b].height)
+    times = []
+    record = blocks[best]
+    while record.height > 0:
+        times.append(record.time)
+        record = blocks[record.parent_id]
+    times.reverse()
+    intervals = [b - a for a, b in zip([0.0] + times, times)]
+    timeline = tuple(blocks[1:])
     by_miner: dict[str, int] = {}
-    for r in records:
+    for r in timeline:
         by_miner[r.miner] = by_miner.get(r.miner, 0) + 1
-    return {
-        "blocks_created": len(records),
-        "best_height": len(best_times),
-        "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
-        "blocks_by_miner": by_miner,
-    }
+    return SimResult(
+        node_tips=dict(tips),
+        node_heights={n: blocks[b].height for n, b in tips.items()},
+        reorg_counts=dict(reorgs),
+        attacker_success=success,
+        timeline=timeline,
+        divergences=tuple(divergences),
+        stats={
+            "blocks_created": len(timeline),
+            "best_height": len(times),
+            "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
+            "blocks_by_miner": by_miner,
+        },
+    )
 
 
 def run_scenario(scenario: SimScenario) -> SimResult:
@@ -631,7 +622,7 @@ def integrated_run(scenario: SimScenario):
     weights = [m.fraction for m in scenario.miners]
     clock = 0.0
     last_ts = 0
-    records = []
+    blocks = [BlockRecord(0, -1, 0, "genesis", 0.0, False)]
     for n in range(scenario.horizon_blocks):
         clock += rng.expovariate(1.0 / scenario.mean_block_interval)
         miner = rng.choices(ids, weights=weights, k=1)[0]
@@ -642,18 +633,9 @@ def integrated_run(scenario: SimScenario):
         report = index.add_block(block)
         if report.verdict.value != "valid":
             raise RuntimeError(f"integrated block rejected: {report.verdict.value}")
-        records.append(BlockRecord(n + 1, n, index.tip_entry().height, miner,
-                                   float(ts), False))
+        blocks.append(BlockRecord(n + 1, n, index.tip_entry().height, miner,
+                                  float(ts), False))
         last_ts = ts
-    # Every block extends the tip, so all of them form the best chain.
-    tip = records[-1]
-    result = SimResult(
-        node_tips={i: tip.block_id for i in ids},
-        node_heights={i: tip.height for i in ids},
-        reorg_counts={i: 0 for i in ids},
-        attacker_success=None,
-        timeline=tuple(records),
-        divergences=(),
-        stats=_run_stats(records, [r.time for r in records]),
-    )
-    return result, index
+    # Every block extends the tip, so every node's tip is the last block.
+    return _sim_result(blocks, dict.fromkeys(ids, len(blocks) - 1),
+                       dict.fromkeys(ids, 0), None, []), index

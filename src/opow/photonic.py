@@ -156,18 +156,14 @@ def coupler_unitary(node: CouplerNode) -> np.ndarray:
 def propagate(config: MeshConfiguration, fields: np.ndarray,
               rng: np.random.Generator | None = None,
               phase_sigma: float = 0.0) -> np.ndarray:
-    """Push one field vector (n,) or a batch (n, B) through the mesh.
+    """Push the field vectors in the columns of `fields` (n, B) through the mesh.
 
     With phase_sigma > 0 every shifter (each node's theta and phi, plus the
     output phases) picks up an independent Gaussian error per column.
     """
-    arr = np.asarray(fields, dtype=np.complex128)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, np.newaxis]
-    if arr.shape[0] != config.n:
-        raise ValueError(f"field has {arr.shape[0]} modes, mesh has {config.n}")
-    out = arr.copy()
+    out = np.asarray(fields, dtype=np.complex128).copy()
+    if out.ndim != 2 or out.shape[0] != config.n:
+        raise ValueError(f"fields have shape {out.shape}, mesh has {config.n} modes")
     batch = out.shape[1]
     noisy = phase_sigma > 0.0
     if noisy and rng is None:
@@ -190,8 +186,7 @@ def propagate(config: MeshConfiguration, fields: np.ndarray,
     alpha = config.output_phases[:, np.newaxis]
     if noisy:
         alpha = alpha + rng.normal(0.0, phase_sigma, (config.n, batch))
-    out = out * np.exp(1j * alpha)
-    return out[:, 0] if single else out
+    return out * np.exp(1j * alpha)
 
 
 def mesh_unitary(config: MeshConfiguration) -> np.ndarray:
@@ -294,10 +289,6 @@ def clements_decompose(u: np.ndarray) -> MeshConfiguration:
     if residual >= _UNITARY_TOL:
         raise DecompositionError(
             f"input is not unitary: residual {residual:.3e} >= {_UNITARY_TOL:.1e}")
-    if n == 1:
-        return MeshConfiguration(n=1, layers=((),),
-                                 output_phases=np.angle(work[0]))
-
     left_ops: list[tuple[int, float, float]] = []
     right_ops: list[tuple[int, float, float]] = []
     for i in range(1, n):
@@ -429,20 +420,6 @@ class NoiseModel:
             raise ValueError("adc_bits must be in [1, 53]")
 
 
-def _propagate_synthesis(synth: MeshSynthesis, fields: np.ndarray,
-                         rng: np.random.Generator | None,
-                         phase_sigma: float) -> np.ndarray:
-    out = propagate(synth.right, fields, rng, phase_sigma)
-    atten = np.clip(synth.attenuations, 0.0, 1.0)
-    if phase_sigma > 0.0:
-        drive = 2.0 * np.arccos(atten)[:, np.newaxis]
-        drive = drive + rng.normal(0.0, phase_sigma, out.shape)
-        out = out * np.cos(drive / 2.0)
-    else:
-        out = out * atten[:, np.newaxis]
-    return propagate(synth.left, out, rng, phase_sigma)
-
-
 def analog_weighting_batch(matrix, xs: np.ndarray,
                            noise: NoiseModel = NoiseModel(),
                            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -460,8 +437,16 @@ def analog_weighting_batch(matrix, xs: np.ndarray,
     if xs.ndim != 2 or xs.shape[1] != synth.dim:
         raise ValueError(f"inputs must be (batch, {synth.dim}) nibbles")
     rng = np.random.Generator(np.random.PCG64(seed))
-    fields = encode_nibbles(xs).T  # (n, B)
-    out = _propagate_synthesis(synth, fields, rng, noise.phase_sigma)
+    sigma = noise.phase_sigma
+    out = propagate(synth.right, encode_nibbles(xs).T, rng, sigma)
+    atten = np.clip(synth.attenuations, 0.0, 1.0)
+    if sigma > 0.0:
+        drive = 2.0 * np.arccos(atten)[:, np.newaxis]
+        drive = drive + rng.normal(0.0, sigma, out.shape)
+        out = out * np.cos(drive / 2.0)
+    else:
+        out = out * atten[:, np.newaxis]
+    out = propagate(synth.left, out, rng, sigma)
     intensity = np.abs(out) ** 2
     if noise.detector_sigma > 0.0:
         intensity = intensity * (1.0 + rng.normal(0.0, noise.detector_sigma,

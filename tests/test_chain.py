@@ -16,6 +16,7 @@ from opow.chain import (
     transfers_commitment,
 )
 from opow.heavyhash import HeavyHashParams, generate_matrix, heavyhash
+from opow.netsim import MinerSpec, SimScenario, integrated_run
 from opow.pow import (
     BlockHeader,
     RetargetParams,
@@ -54,6 +55,20 @@ def build_chain(index, length, start_ts=600, step=600, spend_base=1000):
 
 
 # -- validation verdicts -------------------------------------------------------
+
+
+def test_matrix_is_derived_once_per_run_of_one_parent(index, monkeypatch):
+    seeds = []
+    monkeypatch.setattr("opow.chain.generate_matrix",
+                        lambda seed: seeds.append(seed) or generate_matrix(seed))
+    # mine_block and then add_block on the same parent share one derivation.
+    assert extend(index, index.genesis_hash, 600).verdict is Verdict.VALID
+    assert seeds == [index.genesis_hash]
+    seeds.clear()
+    integrated_run(SimScenario(seed=6, miners=(MinerSpec("a", 1.0),),
+                               mean_block_interval=60.0, horizon_blocks=20,
+                               integrated=True))
+    assert len(seeds) == len(set(seeds)) == 20
 
 
 def test_honest_block_is_valid(index):

@@ -111,6 +111,26 @@ def test_verify_tampered_header_exits_1(tmp_path, m0):
     assert read_records(vout)[1]["verdict"] == "bad-pow"
 
 
+def test_mine_target_bits_matches_target_exponent(tmp_path):
+    bits = compact_from_target(1 << 252)
+    code, out = run(tmp_path, "mine", f"target_bits = {bits}\nnonce_count = 65536\n")
+    assert code == 0
+    by_bits = read_records(out)[1]
+    _, out = run(tmp_path, "mine", "target_exponent = 252\nnonce_count = 65536\n")
+    assert by_bits == read_records(out)[1]
+    assert by_bits["found"] is True and by_bits["target_bits"] == bits
+
+
+def test_verify_undecodable_bits_is_bad_target(tmp_path, capsys):
+    header = BlockHeader(1, bytes(32), bytes(32), 0, 0x1d800000, 0)  # sign bit
+    code, out = run(tmp_path, "verify",
+                    f"header_hex = {serialize_header(header).hex()}\n")
+    assert code == 1
+    assert read_records(out)[1] == {"record": "verify", "valid": False,
+                                    "verdict": "bad-target"}
+    assert capsys.readouterr().err == "bad-target\n"
+
+
 def test_mine_golden_nonce_via_cli(tmp_path, golden):
     code, out = run(tmp_path, "mine",
                     "target_exponent = 255\nnonce_count = 64\nversion = 0\n")
@@ -252,9 +272,22 @@ def test_threads_below_one_exit_2(tmp_path):
         assert not out.exists()
 
 
-def test_attack_rejects_mixed_modes(tmp_path):
+def test_attack_rejects_mixed_modes(tmp_path, capsys):
     code, _ = run(tmp_path, "attack", "miners = a:1.0\nq = 0.3\nz = 2\n")
     assert code == 2
+    # Scenario-only keys without a miners list: the q/z race would ignore them.
+    race = "q = 0.3\nz = 3\nruns = 100\n"
+    for extra, keys in (
+            ("latency = 5\nconfirmations = 2\nintegrated = true\n",
+             ("latency", "confirmations", "integrated")),
+            ("mean_block_interval = 60\n", ("mean_block_interval",)),
+            ("horizon_seconds = 600\n", ("horizon_seconds",)),
+            ("partitions = 0:10:a\n", ("partitions",))):
+        code, out = run(tmp_path, "attack", race + extra)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
 
 
 def test_econ_custom_fleet(tmp_path):
@@ -277,6 +310,23 @@ def test_econ_custom_fleet(tmp_path):
 # -- config handling ----------------------------------------------------------------
 
 CONFIG_COMMANDS = ("mine", "verify", "chainsim", "attack", "photonic", "econ")
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("mine", f"target_bits = {compact_from_target(1 << 252)}\ntarget_exponent = 252\n",
+     "set exactly one of target_bits / target_exponent"),
+    ("mine", "target_exponent = 256\n", "target_exponent must be in (0, 256)"),
+    ("verify", "rounds = 2\n", "verify needs header_hex"),
+    ("econ", "mode = bogus\n", "unknown econ mode 'bogus'"),
+    ("econ", "mode = attack-cost\nhashrates = 1,1\n",
+     "custom fleets need hashrates, capex_rates and opex_rates"),
+], ids=["mine-both-targets", "mine-exponent-256", "verify-no-header",
+        "econ-bogus-mode", "econ-hashrates-only"])
+def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_config_key_exits_2(tmp_path):

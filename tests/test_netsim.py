@@ -143,6 +143,17 @@ def test_even_split_attacker_succeeds():
     assert stats.rate > 0.9
 
 
+def test_attacker_level_at_start_succeeds_before_any_block():
+    # confirmations = 0: the private fork is level with the public chain at
+    # t = 0, so the race is won before a single block is mined.
+    result = run_scenario(two_miner_attack(seed=1, q=0.3, z=0))
+    assert result.attacker_success is True
+    assert result.stats == {"blocks_created": 0, "best_height": 0,
+                            "mean_interval": 0.0, "blocks_by_miner": {}}
+    assert result.node_tips == {"honest": 0, "att": 0}
+    assert result.timeline == ()
+
+
 def test_majority_attacker_succeeds_quickly():
     stats = attack_success_rate(0.6, 6, runs=5000, seed=2, horizon_blocks=10_000)
     assert stats.rate >= 0.99

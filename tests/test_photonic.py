@@ -124,7 +124,7 @@ def test_decompose_identity_convention():
 
 def test_decompose_roundtrip_sizes():
     rng = np.random.default_rng(3)
-    for n in (2, 3, 5, 8, 16, 17):
+    for n in (2, 3, 5, 8, 16, 17, 1):
         u = haar_unitary(n, rng)
         cfg = clements_decompose(u)
         assert len(cfg.layers) == n
