@@ -18,14 +18,20 @@ in float32 and stays exact under any BLAS summation order: every product is
 at most 225 and every partial sum an integer of at most 64 * 225 = 14400,
 below 2**24.  `heavyhash_many` holds the one round loop, over a batch of
 inputs; `heavyhash` is a batch of one.
+
+The xoshiro256 state update is linear over GF(2), so s0 and s3 of the next
+256 states (all the ++ output reads) and the state after them are the XOR
+of one row per nibble of the current state, from a (64 x 16 x 516)-word
+jump table built on first use; the stream is the published one.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,15 +60,49 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+_BLOCK = 256  # outputs per table refill: one 64x64 candidate
+_NIBBLE_SHIFTS = 4 * np.arange(16, dtype=np.uint64)
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    # (64, 16, 516) uint64, 4.2 MB.  Row [p, v] holds s0 of the next _BLOCK
+    # states, then their s3, then the state after them, for the state whose
+    # only nonzero nibble is nibble p (bits 4p..4p+3 of s0|s1|s2|s3) = v.
+    # Built by running the state update on the 256 one-bit states at once.
+    bits = np.arange(256)
+    s = np.zeros((4, 256), dtype=np.uint64)
+    s[bits // 64, bits] = np.uint64(1) << (bits % 64).astype(np.uint64)
+    s0, s1, s2, s3 = s  # views: the update runs in place
+    basis = np.empty((2 * _BLOCK + 4, 256), dtype=np.uint64)
+    for i in range(_BLOCK):
+        basis[i], basis[_BLOCK + i] = s0, s3
+        t = s1 << np.uint64(17)  # the one xoshiro256 state update
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+    basis[2 * _BLOCK:] = s
+    basis = basis.T.reshape(64, 4, -1)  # nibble, bit of the nibble, word
+    table = np.zeros((64, 16, 2 * _BLOCK + 4), dtype=np.uint64)
+    for v in range(1, 16):
+        low = (v & -v).bit_length() - 1
+        table[:, v] = table[:, v & (v - 1)] ^ basis[:, low]
+    table.setflags(write=False)
+    return table
+
+
 class Xoshiro256PlusPlus:
-    """xoshiro256++ with the published state update.
+    """xoshiro256++, drawn _BLOCK outputs at a time from the jump table.
 
     Seeded from a 32-byte digest read as four little-endian 64-bit words,
     each conditioned through one SplitMix64 step so a zero digest (or any
     zero word) cannot produce the forbidden all-zero state.
     """
 
-    __slots__ = ("s0", "s1", "s2", "s3")
+    __slots__ = ("_state", "_words")
 
     def __init__(self, seed: bytes):
         _check_digest(seed, "seed")
@@ -70,24 +110,23 @@ class Xoshiro256PlusPlus:
         s = [splitmix64(w) for w in words]
         if not any(s):  # only reachable for one adversarial 256-bit seed
             s[0] = 1
-        self.s0, self.s1, self.s2, self.s3 = s
+        self._state = np.array(s, dtype=np.uint64)
+        self._words = np.empty(0, dtype=np.uint64)  # drawn, not yet served
 
-    def next_words(self, n: int) -> list[int]:
-        """The next `n` outputs; the one state update, rotates inlined."""
-        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        mask = _MASK64
-        out = []
-        for _ in range(n):
-            r = (s0 + s3) & mask
-            out.append((s0 + (((r << 23) & mask) | (r >> 41))) & mask)
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) & mask) | (s3 >> 19)
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+    def next_words(self, n: int) -> np.ndarray:
+        """The next `n` outputs, as uint64."""
+        while len(self._words) < n:
+            # XOR of one table row per state nibble: s0 and s3 of the next
+            # _BLOCK states, then the state after them.
+            nibbles = (self._state[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
+            rows = _jump_table()[np.arange(64), nibbles.ravel().astype(np.intp)]
+            words = np.bitwise_xor.reduce(rows, axis=0)
+            s0, s3 = words[:_BLOCK], words[_BLOCK:2 * _BLOCK]
+            self._state = words[2 * _BLOCK:]
+            r = s0 + s3
+            drawn = ((r << np.uint64(23)) | (r >> np.uint64(41))) + s0
+            self._words = np.concatenate([self._words, drawn])
+        out, self._words = self._words[:n], self._words[n:]
         return out
 
 
@@ -113,6 +152,7 @@ class WeightMatrix:
 
     entries: np.ndarray  # (dim, dim) int64, values in [0, 15]
     seed: bytes
+    weights_t: np.ndarray = field(init=False, repr=False)  # entries.T, float32
 
     def __post_init__(self):
         entries = np.ascontiguousarray(self.entries, dtype=np.int64)
@@ -123,8 +163,11 @@ class WeightMatrix:
         if entries.min() < 0 or entries.max() > NIBBLE_MAX:
             raise ValueError("matrix entries must be in [0, 15]")
         _check_digest(self.seed, "seed")
-        entries.setflags(write=False)
+        weights_t = entries.T.astype(np.float32)
+        for arr in (entries, weights_t):
+            arr.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "weights_t", weights_t)
         object.__setattr__(self, "seed", bytes(self.seed))
 
     @property
@@ -170,10 +213,8 @@ def nibbles_to_digest(nibbles: np.ndarray) -> bytes:
 
 def _draw_entries(rng: Xoshiro256PlusPlus, dim: int) -> np.ndarray:
     # Row-major fill, 16 nibbles per 64-bit draw, least-significant nibble first.
-    n_words = dim * dim // 16
-    words = np.array(rng.next_words(n_words), dtype=np.uint64)
-    shifts = (4 * np.arange(16, dtype=np.uint64))[np.newaxis, :]
-    nibbles = (words[:, np.newaxis] >> shifts) & np.uint64(0xF)
+    words = rng.next_words(dim * dim // 16)
+    nibbles = (words[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
     return nibbles.astype(np.int64).reshape(dim, dim)
 
 
@@ -251,8 +292,7 @@ def _weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:
     # The one weighting matmul, unchecked.  float32 is exact: every partial
     # sum is an integer of at most accumulator_max(64) = 14400 < 2**24, so
     # the sums also fit uint16.
-    return (x.astype(np.float32) @ matrix.entries.T.astype(np.float32)
-            ).astype(np.uint16)
+    return (x.astype(np.float32) @ matrix.weights_t).astype(np.uint16)
 
 
 def _weight_digests(matrix: WeightMatrix, digests: bytes) -> bytes:

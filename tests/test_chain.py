@@ -1,3 +1,4 @@
+import functools
 import io
 
 import pytest
@@ -343,6 +344,37 @@ def test_arrival_order_equal_work_keeps_first_inserted(index):
         pos = {block_id(b): i for i, b in enumerate(perm)}
         assert first == min(tied, key=lambda h: (
             max(pos[a] for a in ancestors + [h]), pos[h]))
+
+
+_FORK_PARENTS = (0, 1, 2, 3, 4, 1, 6, 7, 2, 0)  # 0 is genesis, i is block i
+
+
+@functools.cache
+def _fork_tree():
+    # Mined once: a five-block main chain, a three-block branch off its
+    # first block, and one-block branches off its second block and genesis.
+    index = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
+    ids, heights, blocks = [index.genesis_hash], [0], []
+    for i, p in enumerate(_FORK_PARENTS):
+        heights.append(heights[p] + 1)
+        block = index.mine_block(ids[p], (), timestamp=600 * heights[-1] + i)
+        assert index.add_block(block).verdict is Verdict.VALID
+        blocks.append(block)
+        ids.append(block_id(block))
+    tip = index.tip_entry()
+    assert tip.hash == ids[5] and sorted(heights)[-2] < tip.height  # no tie
+    return tuple(blocks), tip.hash, tip.cumulative_work
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(len(_FORK_PARENTS))))
+def test_fork_choice_is_independent_of_arrival_order(order):
+    blocks, tip, work = _fork_tree()
+    replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
+    for i in order:
+        assert replayed.add_block(blocks[i]).verdict in (Verdict.VALID, Verdict.ORPHAN)
+    assert replayed.tip == tip
+    assert replayed.tip_entry().cumulative_work == work
 
 
 def test_no_accepted_chain_has_duplicate_spend_ids(index):

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opow.heavyhash import (
     HeavyHashParams,
@@ -87,8 +89,18 @@ def test_xoshiro_matches_reference():
     for _ in range(20):
         seed = rng.randbytes(32)
         gen = Xoshiro256PlusPlus(seed)
-        ours = gen.next_words(15) + gen.next_words(1) + gen.next_words(24)
-        assert ours == ref_xoshiro_words(seed, 40)
+        ours = [gen.next_words(15), gen.next_words(1), gen.next_words(24)]
+        assert np.concatenate(ours).tolist() == ref_xoshiro_words(seed, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=32, max_size=32),
+       st.lists(st.integers(0, 600), max_size=6))
+def test_xoshiro_draws_across_refills_match_reference(seed, sizes):
+    gen = Xoshiro256PlusPlus(seed)
+    ours = [gen.next_words(n) for n in sizes]
+    assert all(w.dtype == np.uint64 and len(w) == n for w, n in zip(ours, sizes))
+    assert [v for w in ours for v in w.tolist()] == ref_xoshiro_words(seed, sum(sizes))
 
 
 def test_matrix_determinism():
@@ -111,6 +123,27 @@ def test_matrix_matches_reference_oracle():
             seed = rng.randbytes(32)
             lib = generate_matrix(seed, dim=dim)
             assert lib.entries.tolist() == ref_matrix(seed, dim=dim)
+
+
+@pytest.mark.parametrize("dim", [64, 16])
+def test_refused_candidate_continues_the_stream(dim, monkeypatch):
+    # Refuse only the first candidate in both rank tests: the matrix must be
+    # the second candidate, filled from the words that follow the first.
+    import opow.heavyhash as hh
+
+    def refuse_first(test):
+        calls = itertools.count()
+        return lambda entries: next(calls) > 0 and test(entries)
+
+    monkeypatch.setattr(hh, "_certified_full_rank", refuse_first(_certified_full_rank))
+    monkeypatch.setattr(hh, "matrix_is_full_rank", refuse_first(matrix_is_full_rank))
+    seed = bytes(range(32))
+    words = dim * dim // 16
+    # Row-major fill, 16 nibbles per word, least-significant nibble first.
+    nibbles = [(w >> 4 * k) & 0xF
+               for w in ref_xoshiro_words(seed, 2 * words)[words:] for k in range(16)]
+    expected = [nibbles[r * dim:(r + 1) * dim] for r in range(dim)]
+    assert generate_matrix(seed, dim=dim).entries.tolist() == expected
 
 
 def test_matrix_entry_range(m0):
