@@ -37,6 +37,9 @@ from .pow import (
 TRANSFER_FORMAT = "<QQQQ"  # sender, recipient, amount, spend_id
 TRANSFER_SIZE = struct.calcsize(TRANSFER_FORMAT)
 MEDIAN_WINDOW = 11
+# Ids of refused blocks remembered so that their late children are not
+# pooled; the oldest is forgotten first.
+REJECTED_MEMORY = 4096
 
 _U64 = 1 << 64
 
@@ -143,6 +146,7 @@ class ChainIndex:
         self.params = params
         self._entries: dict[bytes, _Entry] = {}
         self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
+        self._rejected: dict[bytes, None] = {}  # FIFO of REJECTED_MEMORY ids
         self._matrix: Optional[WeightMatrix] = None  # the last one derived
         self._spenders: dict[int, list[bytes]] = {}  # spend id -> carrier ids
         self._seq = 0
@@ -256,8 +260,12 @@ class ChainIndex:
 
         verdict = self._validate_against_parent(block)
         if verdict is Verdict.ORPHAN:
-            # A repeat of a pooled orphan keeps its first place in the pool.
-            self._orphans.setdefault(block.header.parent_hash, {}).setdefault(bh, block)
+            if block.header.parent_hash in self._rejected:
+                # Its parent can never be inserted, so neither can it.
+                self._discard_pooled(bh)
+            else:
+                # A repeat of a pooled orphan keeps its first place in the pool.
+                self._orphans.setdefault(block.header.parent_hash, {}).setdefault(bh, block)
             return AddReport(Verdict.ORPHAN, bh, new_tip=self.tip)
         if verdict is not Verdict.VALID:
             self._discard_pooled(bh)
@@ -315,10 +323,17 @@ class ChainIndex:
         ancestors, and the id fixes both (the header names the parent and
         commits to the transfers), so no block with this id can ever be
         inserted.  A bad commitment does not come here: the genuine block
-        with that header may still arrive."""
+        with that header may still arrive.
+
+        Each dropped id is remembered, so that a child arriving later is
+        refused at once instead of pooled for good."""
         stack = [bh]
         while stack:
-            stack.extend(self._orphans.pop(stack.pop(), {}))
+            dropped = stack.pop()
+            self._rejected[dropped] = None
+            if len(self._rejected) > REJECTED_MEMORY:
+                del self._rejected[next(iter(self._rejected))]
+            stack.extend(self._orphans.pop(dropped, {}))
 
     def _common_ancestor(self, a_hash: bytes, b_hash: bytes) -> _Entry:
         a = self._entries[a_hash]

@@ -541,6 +541,17 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
     only meaningful below an even split), or the block horizon.  The uniform
     draw consumed by (replica, step) depends only on the seed, so success
     sets are nested across q and z grids: rates are exactly monotone.
+
+    Only live replicas cost work.  Each chunk draws the full (runs, k)
+    block, so the stream never depends on who is still racing, compares it
+    with q once, and transposes the live rows into a contiguous (k, live)
+    array of attacker wins.  Each block then adds one row into the live
+    replicas' attacker counts `att_n`: after t blocks the deficit is
+    z + t - 2·att_n, so a replica is level when 2·att_n == z + t (only for
+    even z + t) and hopeless when 2·att_n <= t - abandon_margin.  Decided
+    replicas are dropped from the live arrays once fewer than half of them
+    are still racing, not at every death, and the loop stops as soon as
+    none is.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("q must satisfy 0 <= q < 1")
@@ -555,25 +566,44 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
         raise ValueError("abandon_margin must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     budget = horizon_blocks - z
-    deficit = np.full(runs, z, dtype=np.int64)
-    undecided = np.ones(runs, dtype=bool)
-    success = deficit == 0  # z == 0 means already level
-    undecided &= ~success
-    cap = z + abandon_margin if q < 0.5 else None
-    steps = 0
-    while undecided.any() and steps < budget:
-        k = min(_DRAW_CHUNK, budget - steps)
-        draws = rng.random((runs, k))
+    give_up = q < 0.5
+    # A decided replica's count is set to `done`, which neither test can
+    # match again, until the next compaction drops it.
+    done = np.iinfo(np.int64).max // 2
+    live = np.arange(runs)
+    att_n = np.zeros(runs, dtype=np.int64)
+    alive = runs if z else 0  # z == 0 means already level
+    successes = runs - alive
+    t = 0
+    while alive and t < budget:
+        k = min(_DRAW_CHUNK, budget - t)
+        hits = rng.random((runs, k)) < q
+        if alive < live.size:
+            keep = att_n < done
+            live, att_n = live[keep], att_n[keep]
+        cols = np.ascontiguousarray(hits[live].T)
         for j in range(k):
-            att = draws[:, j] < q
-            deficit = np.where(undecided, deficit + np.where(att, -1, 1), deficit)
-            newly = undecided & (deficit == 0)
-            success |= newly
-            undecided &= ~newly
-            if cap is not None:
-                undecided &= deficit < cap
-        steps += k
-    return _attack_stats(q, z, runs, int(success.sum()))
+            att_n += cols[j]
+            t += 1
+            if (z + t) % 2 == 0:
+                won = att_n == (z + t) // 2
+                n = int(np.count_nonzero(won))
+                if n:
+                    successes += n
+                    alive -= n
+                    att_n[won] = done
+            if give_up and t >= abandon_margin:
+                lost = att_n <= (t - abandon_margin) // 2
+                n = int(np.count_nonzero(lost))
+                if n:
+                    alive -= n
+                    att_n[lost] = done
+            if 2 * alive < att_n.size:
+                if not alive:
+                    break
+                keep = att_n < done
+                live, att_n, cols = live[keep], att_n[keep], cols[:, keep]
+    return _attack_stats(q, z, runs, successes)
 
 
 def attack_monte_carlo(q: float, z: int, runs: int, seed: int = 0,

@@ -160,3 +160,41 @@ def ref_singular_values(matrix) -> np.ndarray:
             break
     values = np.sqrt(np.sum(a * a, axis=0))
     return np.sort(values)[::-1]
+
+
+# Uniform draws per replica per generator call in the race Monte Carlo:
+# the documented stream layout, not a tuning knob.
+_RACE_CHUNK = 256
+
+
+def ref_attack_successes(q: float, z: int, runs: int, seed: int,
+                         horizon_blocks: int, abandon_margin: int) -> int:
+    """Replicas of the double-spend race that pull level, walked one by one.
+
+    The draws follow the library's layout: PCG64(seed) hands out
+    (runs, k) blocks of uniforms, k = min(256, blocks left), and replica i
+    reads row i.  Each replica then walks its deficit in plain Python: an
+    attacker block (u < q) shrinks it, an honest one grows it; level is a
+    success, and below an even split a deficit of z + abandon_margin gives
+    the race up."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    budget = horizon_blocks - z
+    deficit = [z] * runs
+    racing = [z > 0] * runs
+    successes = racing.count(False)
+    steps = 0
+    while any(racing) and steps < budget:
+        k = min(_RACE_CHUNK, budget - steps)
+        block = rng.random((runs, k)).tolist()
+        for i in range(runs):
+            for u in block[i]:
+                if not racing[i]:
+                    break
+                deficit[i] += -1 if u < q else 1
+                if deficit[i] == 0:
+                    successes += 1
+                    racing[i] = False
+                elif q < 0.5 and deficit[i] >= z + abandon_margin:
+                    racing[i] = False
+        steps += k
+    return successes

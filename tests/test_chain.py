@@ -4,6 +4,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opow.chain as chain_module
 from opow.chain import (
     Block,
     ChainIndex,
@@ -229,6 +230,31 @@ def test_rejected_block_drops_its_pooled_descendants(index):
     assert index._orphans == {}
 
 
+def test_late_children_of_a_rejected_block_are_not_pooled(index):
+    tip = build_chain(index, 2, spend_base=500)
+    bad = easy_child(tip, 5_000, (Transfer(7, 8, 1, 500),))
+    child = easy_child(block_id(bad), 5_600)
+    grand = easy_child(block_id(child), 6_200)
+    assert index.add_block(bad).verdict is Verdict.DOUBLE_SPEND
+    for block in (child, grand):
+        assert index.add_block(block).verdict is Verdict.ORPHAN
+        assert index._orphans == {}
+
+
+def test_rejected_ids_are_forgotten_oldest_first(index, monkeypatch):
+    monkeypatch.setattr(chain_module, "REJECTED_MEMORY", 2)
+    tip = build_chain(index, 2, spend_base=500)
+    bad = [easy_child(tip, 5_000 + i, (Transfer(7, 8, 1, 500),)) for i in range(3)]
+    for block in bad:
+        assert index.add_block(block).verdict is Verdict.DOUBLE_SPEND
+    for block in bad[1:]:
+        index.add_block(easy_child(block_id(block), 6_000))
+        assert index._orphans == {}
+    # The first refused id was forgotten, so its child is pooled again.
+    index.add_block(easy_child(block_id(bad[0]), 6_000))
+    assert list(index._orphans) == [block_id(bad[0])]
+
+
 def test_bad_commitment_keeps_the_pool_for_the_genuine_block(index):
     good = easy_child(index.genesis_hash, 600, (Transfer(1, 2, 3, 4),))
     child = easy_child(block_id(good), 1_200)
@@ -237,6 +263,13 @@ def test_bad_commitment_keeps_the_pool_for_the_genuine_block(index):
     assert index.add_block(copy).verdict is Verdict.BAD_COMMITMENT
     report = index.add_block(good)
     assert report.accepted_orphans == (block_id(child),)
+    # A child arriving after the refused copy is still pooled: a bad
+    # commitment says nothing about the id.
+    good = easy_child(block_id(child), 1_800, (Transfer(1, 2, 3, 5),))
+    assert index.add_block(Block(good.header, ())).verdict is Verdict.BAD_COMMITMENT
+    late = easy_child(block_id(good), 2_400)
+    assert index.add_block(late).verdict is Verdict.ORPHAN
+    assert index.add_block(good).accepted_orphans == (block_id(late),)
 
 
 def test_copy_of_an_accepted_block_with_other_transfers(index):

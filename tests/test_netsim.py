@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opow.netsim import (
     ConfigurationError,
@@ -16,6 +17,7 @@ from opow.netsim import (
     nakamoto_probability,
     run_scenario,
 )
+from reference_oracles import ref_attack_successes
 
 
 def two_miner_attack(seed, q, z, horizon=4000, margin=24):
@@ -190,6 +192,33 @@ def test_monte_carlo_sharding_is_thread_invariant():
     a = attack_monte_carlo(0.3, 3, runs=60_000, seed=5, threads=1)
     b = attack_monte_carlo(0.3, 3, runs=60_000, seed=5, threads=4)
     assert a.successes == b.successes
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.one_of(st.floats(0.0, 0.49), st.just(0.5), st.floats(0.51, 0.95)),
+       z=st.integers(0, 10),
+       runs=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1),
+       # Blocks raced past the confirmations: within the first chunk, at its
+       # edge, and ending inside the second or third (z + 300, ...).
+       race=st.one_of(st.integers(1, 600), st.sampled_from([255, 256, 257, 300, 512])),
+       margin=st.integers(1, 64))
+# The give-up boundary, which random draws can miss: small margins, many runs.
+@example(q=0.3, z=1, runs=200, seed=1, race=300, margin=1)
+@example(q=0.45, z=3, runs=200, seed=2, race=300, margin=2)
+def test_vectorized_race_matches_per_replica_walk(q, z, runs, seed, race, margin):
+    stats = attack_success_rate(q, z, runs, seed, horizon_blocks=z + race,
+                                abandon_margin=margin)
+    assert stats.successes == ref_attack_successes(q, z, runs, seed, z + race, margin)
+
+
+def test_race_counts_are_pinned():
+    # Counts of the stream as first published; any change to the draw layout
+    # or the race rules moves them.
+    assert attack_monte_carlo(0.3, 6, 100_000, seed=0, threads=2).successes == 622
+    assert attack_success_rate(0.5, 3, 25_000, seed=7).successes == 24399
+    assert attack_success_rate(0.3, 3, 5000, seed=3, horizon_blocks=100,
+                               abandon_margin=2).successes == 310
 
 
 # -- partitions -----------------------------------------------------------------
