@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from typing import Callable, Optional
 
@@ -58,6 +59,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _ZERO_SEED = bytes(DIGEST_SIZE)
+# The --threads default: the CPUs this process may run on.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,9 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--output", default="-",
                         help="result file, '-' for stdout")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=int, default=_CPUS,
                         help="worker threads for the attack Monte Carlo "
-                             "(mine searches on one thread)")
+                             "shards and the photonic sweep's grid points "
+                             "(default: the usable CPUs, %(default)s); "
+                             "results are the same for any count; mine "
+                             "ignores it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("heavyhash", help="hash a hex string")
@@ -347,7 +354,7 @@ def _photonic(args, cfg: dict) -> list[dict]:
     grid = [photonic.NoiseModel(phase_sigma=s, **noise)
             for s in cfg.get("phase_sigmas", [0.0, 0.01, 0.05, 0.1])]
     rows = photonic.fidelity_sweep(matrix, grid, seed=args.seed,
-                                   **given(cfg, "samples"))
+                                   threads=args.threads, **given(cfg, "samples"))
     records: list[dict] = [{
         "record": "synthesis",
         "dim": matrix.dim,

@@ -153,6 +153,16 @@ def coupler_unitary(node: CouplerNode) -> np.ndarray:
     return np.array([[c * eip, 1j * s], [1j * s * eip, c]], dtype=np.complex128)
 
 
+def _perturb(base: np.ndarray, rng: np.random.Generator, sigma: float,
+             buf: np.ndarray) -> np.ndarray:
+    """base + N(0, sigma) errors, drawn into `buf`: the same draws and bits
+    as base + rng.normal(0.0, sigma, buf.shape)."""
+    rng.standard_normal(out=buf)
+    buf *= sigma
+    buf += base
+    return buf
+
+
 def propagate(config: MeshConfiguration, fields: np.ndarray,
               rng: np.random.Generator | None = None,
               phase_sigma: float = 0.0) -> np.ndarray:
@@ -160,32 +170,63 @@ def propagate(config: MeshConfiguration, fields: np.ndarray,
 
     With phase_sigma > 0 every shifter (each node's theta and phi, plus the
     output phases) picks up an independent Gaussian error per column.
+
+    Each layer rewrites its coupled rows in place, through strided row views
+    and scratch buffers allocated once per call.  The draws, their order and
+    the ufuncs are those of the plain per-layer expressions
+    c e^{i phi} a + i s b and i s e^{i phi} a + c b, so the result is the
+    same bit for bit.
     """
     out = np.asarray(fields, dtype=np.complex128).copy()
     if out.ndim != 2 or out.shape[0] != config.n:
         raise ValueError(f"fields have shape {out.shape}, mesh has {config.n} modes")
-    batch = out.shape[1]
+    n, batch = out.shape
     noisy = phase_sigma > 0.0
     if noisy and rng is None:
         raise ValueError("phase noise requires an rng")
+    # Rows enough for any layer's pairs; flattened, the angles also hold the
+    # n output phases.
+    rows = (n + 1) // 2
+    products = np.empty((4, rows, batch), dtype=np.complex128)
+    if noisy:
+        angles = np.empty((4, rows, batch))  # theta, phi, cos, sin
     for idx, layer in enumerate(config.layers):
-        starts = layer_pair_starts(config.n, idx)
-        if starts.size == 0:
+        k = len(layer)
+        if k == 0:
             continue
+        first = idx % 2
+        top = out[first:first + 2 * k:2]
+        bot = out[first + 1:first + 2 * k:2]
+        t, u, v, w = products[:, :k]  # c e^{i phi} a, i s b, i s e^{i phi} a, c b
         theta = np.array([node.theta for node in layer])[:, np.newaxis]
         phi = np.array([node.phi for node in layer])[:, np.newaxis]
         if noisy:
-            theta = theta + rng.normal(0.0, phase_sigma, (starts.size, batch))
-            phi = phi + rng.normal(0.0, phase_sigma, (starts.size, batch))
-        c, s = np.cos(theta), np.sin(theta)
-        eip = np.exp(1j * phi)
-        a = out[starts]
-        b = out[starts + 1]
-        out[starts] = c * eip * a + 1j * s * b
-        out[starts + 1] = 1j * s * eip * a + c * b
+            theta_k, phi_k, c, s = angles[:, :k]
+            theta = _perturb(theta, rng, phase_sigma, theta_k)
+            phi = _perturb(phi, rng, phase_sigma, phi_k)
+            np.cos(theta, out=c)
+            np.sin(theta, out=s)
+            eip = np.exp(np.multiply(1j, phi, out=v), out=v)
+            js = np.multiply(1j, s, out=w)
+            ce = np.multiply(c, eip, out=t)
+            jse = np.multiply(js, eip, out=v)
+        else:
+            c, s = np.cos(theta), np.sin(theta)
+            eip = np.exp(1j * phi)
+            js = 1j * s
+            ce, jse = c * eip, js * eip
+        np.multiply(ce, top, out=t)
+        np.multiply(js, bot, out=u)
+        np.multiply(jse, top, out=v)
+        np.multiply(c, bot, out=w)
+        np.add(t, u, out=top)
+        np.add(v, w, out=bot)
     alpha = config.output_phases[:, np.newaxis]
     if noisy:
-        alpha = alpha + rng.normal(0.0, phase_sigma, (config.n, batch))
+        alpha = _perturb(alpha, rng, phase_sigma, angles.reshape(-1, batch)[:n])
+    # One expression on purpose: on a large batch numpy may reuse the exp
+    # temporary and compute exp(...) * out, and a fused complex multiply is
+    # not commutative bit for bit.  Any other spelling pins one order.
     return out * np.exp(1j * alpha)
 
 
@@ -438,19 +479,26 @@ def analog_weighting_batch(matrix, xs: np.ndarray,
         raise ValueError(f"inputs must be (batch, {synth.dim}) nibbles")
     rng = np.random.Generator(np.random.PCG64(seed))
     sigma = noise.phase_sigma
-    out = propagate(synth.right, encode_nibbles(xs).T, rng, sigma)
-    atten = np.clip(synth.attenuations, 0.0, 1.0)
-    if sigma > 0.0:
-        drive = 2.0 * np.arccos(atten)[:, np.newaxis]
-        drive = drive + rng.normal(0.0, sigma, out.shape)
-        out = out * np.cos(drive / 2.0)
-    else:
-        out = out * atten[:, np.newaxis]
-    out = propagate(synth.left, out, rng, sigma)
-    intensity = np.abs(out) ** 2
-    if noise.detector_sigma > 0.0:
-        intensity = intensity * (1.0 + rng.normal(0.0, noise.detector_sigma,
-                                                  intensity.shape))
+    # A huge sigma overflows a phase to inf, whose cos is NaN; that is
+    # reported below as one NumericError, not as a warning per ufunc.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = propagate(synth.right, encode_nibbles(xs).T, rng, sigma)
+        atten = np.clip(synth.attenuations, 0.0, 1.0)
+        if sigma > 0.0:
+            drive = 2.0 * np.arccos(atten)[:, np.newaxis]
+            drive = drive + rng.normal(0.0, sigma, out.shape)
+            out = out * np.cos(drive / 2.0)
+        else:
+            out = out * atten[:, np.newaxis]
+        out = propagate(synth.left, out, rng, sigma)
+        intensity = np.abs(out) ** 2
+        if noise.detector_sigma > 0.0:
+            intensity = intensity * (1.0 + rng.normal(0.0, noise.detector_sigma,
+                                                      intensity.shape))
+    if np.isnan(intensity).any():
+        raise NumericError(
+            f"analog intensities are not finite at phase_sigma {sigma:g}, "
+            f"detector_sigma {noise.detector_sigma:g}: a noise draw overflowed")
     # ADC full scale sits at the largest representable accumulator.
     acc_max = accumulator_max(synth.dim)
     full_scale = (acc_max / (NIBBLE_MAX * synth.scale)) ** 2
@@ -463,7 +511,8 @@ def analog_weighting_batch(matrix, xs: np.ndarray,
 
 
 def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
-                   samples: int = 1000, seed: int = 0) -> list[dict]:
+                   samples: int = 1000, seed: int = 0,
+                   threads: int = 1) -> list[dict]:
     """Nibble and end-to-end error rates of the analog path over a noise grid.
 
     The same `samples` random nibble vectors are scored at every grid point
@@ -472,6 +521,10 @@ def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
     nibble differs: the digests agree exactly when the pre-hash bytes do.
     The digital reference needs the integer matrix, so `matrix` must be a
     WeightMatrix.
+
+    Grid points run on up to `threads` worker threads (numpy releases the
+    GIL in the draws and ufuncs).  Each point has its own seeded generator,
+    so the rows are identical for any thread count.
     """
     if not isinstance(matrix, WeightMatrix):
         raise ValueError("fidelity_sweep needs a WeightMatrix, got "
@@ -482,8 +535,8 @@ def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
     base = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     xs = base.integers(0, NIBBLE_MAX + 1, size=(samples, synth.dim))
     digital = weighting(matrix, xs)
-    rows = []
-    for idx, noise in enumerate(grid):
+
+    def score(idx: int, noise: NoiseModel) -> dict:
         point_seed = np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
         rng_seed = int(point_seed.generate_state(1)[0])
         estimates, _ = analog_weighting_batch(synth, xs, noise, rng_seed)
@@ -492,7 +545,7 @@ def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
         nibble_rate = float(errors.mean())
         mismatch = errors.any(axis=1)
         mismatch_rate = float(mismatch.mean())
-        rows.append({
+        return {
             "phase_sigma": noise.phase_sigma,
             "detector_sigma": noise.detector_sigma,
             "adc_bits": noise.adc_bits,
@@ -501,5 +554,11 @@ def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
             "nibble_error_se": math.sqrt(nibble_rate * (1 - nibble_rate) / n_nibbles),
             "hash_mismatch_rate": mismatch_rate,
             "hash_mismatch_se": math.sqrt(mismatch_rate * (1 - mismatch_rate) / samples),
-        })
-    return rows
+        }
+
+    if threads > 1 and len(grid) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(threads, len(grid))) as pool:
+            return list(pool.map(score, range(len(grid)), grid))
+    return [score(idx, noise) for idx, noise in enumerate(grid)]

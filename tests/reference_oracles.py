@@ -133,6 +133,73 @@ def ref_mesh_unitary(config) -> np.ndarray:
     return np.diag(np.exp(1j * config.output_phases)) @ total
 
 
+def ref_propagate(config, fields: np.ndarray,
+                  rng: np.random.Generator | None = None,
+                  phase_sigma: float = 0.0) -> np.ndarray:
+    """Mesh propagation as plain per-layer expressions: fancy-index gather
+    and scatter of the coupled rows, fresh temporaries, `rng.normal` draws.
+
+    The library's propagate must match it bit for bit: the same draws in
+    the same order through the same ufuncs.
+    """
+    from opow.photonic import layer_pair_starts
+
+    out = np.asarray(fields, dtype=np.complex128).copy()
+    if out.ndim != 2 or out.shape[0] != config.n:
+        raise ValueError(f"fields have shape {out.shape}, mesh has {config.n} modes")
+    batch = out.shape[1]
+    noisy = phase_sigma > 0.0
+    if noisy and rng is None:
+        raise ValueError("phase noise requires an rng")
+    for idx, layer in enumerate(config.layers):
+        starts = layer_pair_starts(config.n, idx)
+        if starts.size == 0:
+            continue
+        theta = np.array([node.theta for node in layer])[:, np.newaxis]
+        phi = np.array([node.phi for node in layer])[:, np.newaxis]
+        if noisy:
+            theta = theta + rng.normal(0.0, phase_sigma, (starts.size, batch))
+            phi = phi + rng.normal(0.0, phase_sigma, (starts.size, batch))
+        c, s = np.cos(theta), np.sin(theta)
+        eip = np.exp(1j * phi)
+        a = out[starts]
+        b = out[starts + 1]
+        out[starts] = c * eip * a + 1j * s * b
+        out[starts + 1] = 1j * s * eip * a + c * b
+    alpha = config.output_phases[:, np.newaxis]
+    if noisy:
+        alpha = alpha + rng.normal(0.0, phase_sigma, (config.n, batch))
+    return out * np.exp(1j * alpha)
+
+
+def ref_analog_intensities(synth, xs, noise, seed: int = 0) -> np.ndarray:
+    """Quantized detector intensities of the analog path, rows per input,
+    by the library's analog_weighting_batch steps through ref_propagate."""
+    from opow.heavyhash import NIBBLE_MAX, accumulator_max
+    from opow.photonic import encode_nibbles
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sigma = noise.phase_sigma
+    out = ref_propagate(synth.right, encode_nibbles(xs).T, rng, sigma)
+    atten = np.clip(synth.attenuations, 0.0, 1.0)
+    if sigma > 0.0:
+        drive = 2.0 * np.arccos(atten)[:, np.newaxis]
+        drive = drive + rng.normal(0.0, sigma, out.shape)
+        out = out * np.cos(drive / 2.0)
+    else:
+        out = out * atten[:, np.newaxis]
+    out = ref_propagate(synth.left, out, rng, sigma)
+    intensity = np.abs(out) ** 2
+    if noise.detector_sigma > 0.0:
+        intensity = intensity * (1.0 + rng.normal(0.0, noise.detector_sigma,
+                                                  intensity.shape))
+    acc_max = accumulator_max(synth.dim)
+    full_scale = (acc_max / (NIBBLE_MAX * synth.scale)) ** 2
+    intensity = np.clip(intensity, 0.0, full_scale)
+    step = full_scale / (2 ** noise.adc_bits - 1)
+    return (np.round(intensity / step) * step).T
+
+
 def ref_singular_values(matrix) -> np.ndarray:
     """Singular values by Hestenes one-sided Jacobi, descending."""
     a = np.array(matrix, dtype=np.float64)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,11 @@ def read_records(path):
 
 
 def run(tmp_path, subcommand, config_text=None, extra=None, seed=0, threads=1):
+    """Run one subcommand; threads=None leaves --threads at its default."""
     out = tmp_path / f"{subcommand}.jsonl"
-    argv = ["--seed", str(seed), "--output", str(out), "--threads", str(threads)]
+    argv = ["--seed", str(seed), "--output", str(out)]
+    if threads is not None:
+        argv += ["--threads", str(threads)]
     if config_text is not None:
         cfg = tmp_path / f"{subcommand}.cfg"
         cfg.write_text(config_text)
@@ -176,6 +180,18 @@ def test_attack_threads_invariant(tmp_path):
     _, out1 = run(tmp_path, "attack", cfg, threads=1)
     _, out2 = run(tmp_path, "attack", cfg, threads=3)
     assert read_records(out1)[1] == read_records(out2)[1]
+
+
+def test_photonic_threads_invariant(tmp_path):
+    cfg = ("dim = 16\nsamples = 50\nphase_sigmas = 0, 0.02, 0.05, 0.1\n"
+           "detector_sigma = 0.01\n")
+    records = []
+    for threads in (1, 3, None):
+        code, out = run(tmp_path, "photonic", cfg, seed=4, threads=threads)
+        assert code == 0
+        records.append(read_records(out)[1:])
+    assert len(records[0]) == 5
+    assert records[0] == records[1] == records[2]
 
 
 # -- photonic --------------------------------------------------------------------
@@ -364,6 +380,19 @@ def test_non_finite_config_floats_exit_2(tmp_path):
         code, out = run(tmp_path, subcommand, cfg)
         assert code == 2
         assert not out.exists()
+
+
+def test_photonic_phase_overflow_exits_3(tmp_path, capsys):
+    # sigma * z overflows to inf and cos(inf) is NaN: a numeric failure,
+    # reported once, not garbage rates under a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "photonic",
+                        "dim = 16\nsamples = 50\nphase_sigmas = 0, 1e308\n")
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 def test_numeric_overflow_inputs_exit_2(tmp_path):

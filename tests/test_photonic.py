@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from opow.photonic import (
     DecompositionError,
     MeshConfiguration,
     NoiseModel,
+    NumericError,
     analog_weighting_batch,
     clements_decompose,
     coupler_unitary,
@@ -19,11 +21,17 @@ from opow.photonic import (
     mesh_unitary,
     mzm_amplitude,
     nibble_drive_phase,
+    propagate,
     svd_synthesize,
     synthesis_residual,
     unitarity_residual,
 )
-from reference_oracles import ref_mesh_unitary, ref_singular_values
+from reference_oracles import (
+    ref_analog_intensities,
+    ref_mesh_unitary,
+    ref_propagate,
+    ref_singular_values,
+)
 
 
 def haar_unitary(n, rng):
@@ -265,3 +273,61 @@ def test_fidelity_sweep_zero_noise_row_and_determinism(m0, m0_synthesis):
 def test_fidelity_sweep_needs_the_integer_matrix(m0_synthesis):
     with pytest.raises(ValueError, match="WeightMatrix"):
         fidelity_sweep(m0_synthesis, [NoiseModel()], samples=10)
+
+
+# -- bit equality with the plain per-layer expressions ------------------------
+# Same draws, same order, same ufuncs: checked on the CPU the tests run on.
+# A batch of 300 at dim 64 puts the output rotation past numpy's 256 KiB
+# temporary-elision threshold, where the multiply order can change.
+
+_BIT_CASES = [(dim, batch, sigma, seed) for dim in (16, 64) for batch in (1, 37)
+              for sigma in (0.0, 0.01, 0.1) for seed in (0, 1, 2)]
+_BIT_CASES += [(64, 300, sigma, 0) for sigma in (0.0, 0.01, 0.1)]
+
+
+@pytest.fixture(scope="module")
+def syntheses():
+    return {dim: svd_synthesize(generate_matrix(b"\x07" * 32, dim=dim))
+            for dim in (16, 64)}
+
+
+@pytest.mark.parametrize("dim, batch, sigma, seed", _BIT_CASES)
+def test_propagate_bits_match_reference(syntheses, dim, batch, sigma, seed):
+    synth = syntheses[dim]
+    xs = np.random.default_rng(seed).integers(0, 16, size=(batch, dim))
+    fields = encode_nibbles(xs).T
+    for config in (synth.right, synth.left):
+        expected = ref_propagate(config, fields, np.random.default_rng(seed), sigma)
+        got = propagate(config, fields, np.random.default_rng(seed), sigma)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dim, batch, sigma, seed", _BIT_CASES)
+def test_analog_intensities_bits_match_reference(syntheses, dim, batch, sigma, seed):
+    synth = syntheses[dim]
+    xs = np.random.default_rng(seed).integers(0, 16, size=(batch, dim))
+    for noise in (NoiseModel(phase_sigma=sigma),
+                  NoiseModel(phase_sigma=sigma, detector_sigma=0.01)):
+        _, got = analog_weighting_batch(synth, xs, noise, seed)
+        assert np.array_equal(got, ref_analog_intensities(synth, xs, noise, seed))
+
+
+def test_phase_overflow_is_a_numeric_error():
+    synth = svd_synthesize(generate_matrix(bytes(32), dim=16))
+    xs = np.random.default_rng(0).integers(0, 16, size=(20, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite"):
+            analog_weighting_batch(synth, xs, NoiseModel(phase_sigma=1e308))
+        # Huge but finite phases are only noise.
+        est, quantized = analog_weighting_batch(synth, xs, NoiseModel(phase_sigma=1e300))
+    assert est.shape == xs.shape and np.isfinite(quantized).all()
+
+
+def test_fidelity_sweep_threads_invariant():
+    matrix = generate_matrix(b"\x03" * 32, dim=16)
+    grid = [NoiseModel(phase_sigma=s, detector_sigma=0.01) for s in (0.0, 0.02, 0.05, 0.1)]
+    rows = fidelity_sweep(matrix, grid, samples=60, seed=11, threads=1)
+    assert rows[-1]["nibble_error_rate"] > 0.0
+    for threads in (2, 5):
+        assert fidelity_sweep(matrix, grid, samples=60, seed=11, threads=threads) == rows
