@@ -4,7 +4,8 @@
 other subcommand is a row of `_COMMANDS`: a key=value config file read
 through the row's schema, and a handler that turns it into result records.
 Results go to --output (default stdout) as one JSON header record followed
-by one record per result line.
+by one record per result line.  `main(argv)` may be called repeatedly in one
+process; it builds its argparse parser once, on the first call.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/usage error,
 3 internal numeric failure.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import io
 import math
 import os
 import sys
@@ -64,6 +67,7 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 
+@functools.cache  # parse_args keeps no state: one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opow",
@@ -133,7 +137,11 @@ def _run_command(args) -> int:
     cfg = configio.load_config(args.config, schema)
     records = handler(args, cfg)
     records.insert(0, configio.header_record(args.command, args.seed, cfg))
-    _write_output(args.output, lambda fp: configio.write_records(fp, records))
+    # Serialised before --output is opened: a record that is not JSON ends
+    # in a ConfigError and leaves no output file.
+    text = io.StringIO()
+    configio.write_records(text, records)
+    _write_output(args.output, lambda fp: fp.write(text.getvalue()))
     rejected = [r["verdict"] for r in records if r.get("valid") is False]
     for verdict in rejected:
         print(verdict, file=sys.stderr)

@@ -121,10 +121,30 @@ def header_record(command: str, seed: int, config: Mapping[str, object]) -> dict
     }
 
 
+def _is_finite(value: object) -> bool:
+    """False if a float anywhere inside `value` is nan or infinite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, Mapping):
+        return all(map(_is_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_finite, value))
+    return True
+
+
 def write_records(fp: TextIO, records: Iterable[Mapping[str, object]]) -> int:
+    """Write one JSON line per record.  JSON has no nan or infinity, so such
+    a value is a ConfigError that names the record and its fields."""
     count = 0
     for record in records:
-        fp.write(json.dumps(record, sort_keys=True))
+        try:
+            line = json.dumps(record, sort_keys=True, allow_nan=False)
+        except ValueError:
+            fields = ", ".join(k for k, v in sorted(record.items())
+                               if not _is_finite(v))
+            raise ConfigError(f"record {count} ({record.get('record')}) has "
+                              f"non-finite {fields}") from None
+        fp.write(line)
         fp.write("\n")
         count += 1
     return count

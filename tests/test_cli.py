@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opow import econ, netsim, photonic
-from opow.cli import _COMMANDS, main
+from opow.cli import _COMMANDS, _build_parser, main
 from opow.configio import ConfigError, parse_config_text
 from opow.heavyhash import HeavyHashParams, generate_matrix, heavyhash
 from opow.pow import (
@@ -150,6 +151,63 @@ def test_mine_threads_match_single(tmp_path):
     rec4 = read_records(out4)[1]
     assert rec1["nonce"] == rec4["nonce"]
     assert rec1 == rec4
+
+
+# -- repeated calls in one process --------------------------------------------
+
+
+def _seeded_records(tmp_path):
+    """Records of mine, of verify on the mined header, and a heavyhash digest,
+    with the header's wall-clock field removed."""
+    _, out = run(tmp_path, "mine", "target_exponent = 252\nnonce_count = 65536\n",
+                 seed=5)
+    mined = read_records(out)
+    code, vout = run(tmp_path, "verify",
+                     f"header_hex = {mined[1]['header_hex']}\n", seed=5)
+    assert code == 0
+    verified = read_records(vout)
+    digest = tmp_path / "digest.txt"
+    assert main(["--output", str(digest), "heavyhash", "00ff", "--rounds", "2"]) == 0
+    for header in (mined[0], verified[0]):
+        header.pop("generated_at")
+    return mined, verified, digest.read_text()
+
+
+def test_warm_main_builds_no_parser(tmp_path, monkeypatch):
+    _seeded_records(tmp_path)  # builds the parser if no earlier call did
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _seeded_records(tmp_path)
+    assert run(tmp_path, "econ", "mode = bogus\n")[0] == 2
+    assert main(["--threads", "0", "heavyhash", ""]) == 2
+    assert built == []
+
+
+def test_usage_error_leaves_the_parser_working(tmp_path, capsys):
+    before = _seeded_records(tmp_path)
+    assert run(tmp_path, "verify", "header_hex = 00\n", threads=0)[0] == 2
+    assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+    assert _seeded_records(tmp_path) == before
+
+
+def test_help_text_is_the_same_on_every_call(capsys):
+    _build_parser.cache_clear()  # the first call below builds the parser
+    texts = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("usage: opow") and texts[0] == texts[1]
+
+
+def test_seeded_records_repeat_in_one_process(tmp_path):
+    first = _seeded_records(tmp_path)
+    assert first[0][1]["found"] is True and first[1][1]["valid"] is True
+    assert _seeded_records(tmp_path) == first
 
 
 # -- chainsim ------------------------------------------------------------------
@@ -395,13 +453,29 @@ def test_photonic_phase_overflow_exits_3(tmp_path, capsys):
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
-def test_numeric_overflow_inputs_exit_2(tmp_path):
+def test_numeric_overflow_inputs_exit_2(tmp_path, capsys):
     # int(inf) for the initial target; 2**2000 - 1 does not fit a float.
     for subcommand, cfg in (("chainsim", "hashrate = 1e-300\n"),
                             ("photonic", "dim = 16\nsamples = 10\nadc_bits = 2000\n")):
         code, out = run(tmp_path, subcommand, cfg)
         assert code == 2
         assert not out.exists()
+    capsys.readouterr()
+    # Results that overflow to inf or nan, which JSON cannot hold.
+    for subcommand, cfg, message in (
+            ("econ", "mode = attack-cost\nreward_value = 1e308\n",
+             "record 1 (attack_cost) has non-finite capex, opex, total"),
+            ("econ", "mode = attack-cost\nduration_days = 1e308\n",
+             "record 1 (attack_cost) has non-finite opex, total"),
+            ("econ", "mode = attack-cost\nhardware_price_multiple = 1e308\n",
+             "record 1 (attack_cost) has non-finite capex, total"),
+            ("attack", "miners = a:0.5, b:0.5\nmean_block_interval = 1e308\n"
+                       "horizon_blocks = 10\n",
+             "record 1 (scenario_run) has non-finite stats, timeline")):
+        code, out = run(tmp_path, subcommand, cfg)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _ODD_VALUES = st.sampled_from(["nan", "-inf", "inf", "1e400", "0x1f", "1,nan",
