@@ -146,6 +146,18 @@ def fleet_from_rates(hashrates: list[float], capex_rates: list[float],
         Cohort(h, c, o) for h, c, o in zip(hashrates, capex_rates, opex_rates)))
 
 
+# Cohorts a generated fleet may hold.  Each is a Python object: 10**5 of them
+# take about 18 MB, and an unbounded count grows until memory runs out.
+MAX_COHORTS = 10**6
+
+
+def _check_cohorts(n_cohorts: int) -> None:
+    if n_cohorts < 1:
+        raise ValueError("bad fleet shape parameters")
+    if n_cohorts > MAX_COHORTS:
+        raise ValueError(f"n_cohorts must be at most {MAX_COHORTS}")
+
+
 def synthetic_fleet(opex_share: float, market: MarketState,
                     n_cohorts: int = 100) -> MinerFleet:
     """Equal-hashrate fleet with opex margins spread around `opex_share`.
@@ -160,8 +172,7 @@ def synthetic_fleet(opex_share: float, market: MarketState,
     """
     if not 0.0 < opex_share < 1.0:
         raise ValueError("opex_share must be in (0, 1)")
-    if n_cohorts < 1:
-        raise ValueError("bad fleet shape parameters")
+    _check_cohorts(n_cohorts)
     h = 1.0 / n_cohorts
     revenue_per_cohort = market.reward_rate / n_cohorts
     half_width = min(opex_share, 1.0 - opex_share)
@@ -188,8 +199,7 @@ def bitcoin_like_fleet(market: MarketState, n_cohorts: int = 100) -> MinerFleet:
     fleet runs at baseline and a 0.55 multiplier idles ~42% of hashrate.
     The fleet's total hashrate is 1 and its hardware is sunk (no capex).
     """
-    if n_cohorts < 1:
-        raise ValueError("bad fleet shape parameters")
+    _check_cohorts(n_cohorts)
     h = 1.0 / n_cohorts
     revenue_per_cohort = market.reward_rate / n_cohorts
     cohorts = []

@@ -529,6 +529,33 @@ def _attack_stats(q: float, z: int, runs: int, successes: int) -> AttackStats:
 _DRAW_CHUNK = 256
 # Replicas per Monte-Carlo shard; shard i runs under seed + i.
 _SHARD_SIZE = 25_000
+# Replica rows drawn per slab: a 256 KiB float64 temporary at k = 256.  Not
+# part of the stream layout.
+_SLAB_ROWS = 128
+
+
+def _live_hits(rng: np.random.Generator, q: float, runs: int, k: int,
+               live: np.ndarray) -> np.ndarray:
+    """The (k, live.size) attacker wins of `np.ascontiguousarray(
+    (rng.random((runs, k)) < q)[live].T)`, leaving `rng` where that draw
+    would, without the (runs, k) block.
+
+    Row slabs holding a live replica are drawn; runs of dead slabs are
+    skipped with a jump-ahead.  Each float64 takes one 64-bit PCG64 output,
+    so the stream is unchanged.  `live` must be sorted ascending.
+    """
+    out = np.empty((k, live.size), dtype=bool)
+    lo = pos = 0  # first live column of the slab; rows drawn so far
+    for s in np.unique(live // _SLAB_ROWS).tolist():
+        r0, r1 = s * _SLAB_ROWS, min((s + 1) * _SLAB_ROWS, runs)
+        if r0 > pos:
+            rng.bit_generator.advance((r0 - pos) * k)
+        hi = int(np.searchsorted(live, r1))
+        out[:, lo:hi] = (rng.random((r1 - r0, k)) < q)[live[lo:hi] - r0].T
+        lo, pos = hi, r1
+    if runs > pos:
+        rng.bit_generator.advance((runs - pos) * k)
+    return out
 
 
 def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
@@ -542,10 +569,11 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
     draw consumed by (replica, step) depends only on the seed, so success
     sets are nested across q and z grids: rates are exactly monotone.
 
-    Only live replicas cost work.  Each chunk draws the full (runs, k)
-    block, so the stream never depends on who is still racing, compares it
-    with q once, and transposes the live rows into a contiguous (k, live)
-    array of attacker wins.  Each block then adds one row into the live
+    Only live replicas cost work.  Each chunk takes the (runs, k) block's
+    worth of draws, so the stream layout never depends on who is still
+    racing, but `_live_hits` draws it in small row slabs, jumps over slabs
+    with no live replica, and keeps only a contiguous (k, live) array of
+    attacker wins.  Each block then adds one row into the live
     replicas' attacker counts `att_n`: after t blocks the deficit is
     z + t - 2·att_n, so a replica is level when 2·att_n == z + t (only for
     even z + t) and hopeless when 2·att_n <= t - abandon_margin.  Decided
@@ -577,11 +605,10 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
     t = 0
     while alive and t < budget:
         k = min(_DRAW_CHUNK, budget - t)
-        hits = rng.random((runs, k)) < q
         if alive < live.size:
             keep = att_n < done
             live, att_n = live[keep], att_n[keep]
-        cols = np.ascontiguousarray(hits[live].T)
+        cols = _live_hits(rng, q, runs, k, live)
         for j in range(k):
             att_n += cols[j]
             t += 1

@@ -237,6 +237,11 @@ def verify_header(header: BlockHeader, matrix: WeightMatrix,
     return meets_target(digest, target)
 
 
+# Blocks a retarget simulation may run.  It keeps a point, a timestamp and a
+# target per block: 10**5 blocks take about 22 MB.
+MAX_SIM_BLOCKS = 10**6
+
+
 @dataclass(frozen=True)
 class SimPoint:
     """One block of a virtual constant-hashrate chain."""
@@ -263,6 +268,8 @@ def simulate_retarget_chain(initial_target: int, hashrate: float,
     _check_target(initial_target)
     if hashrate <= 0 or n_blocks <= 0:
         raise ValueError("hashrate and n_blocks must be positive")
+    if n_blocks > MAX_SIM_BLOCKS:
+        raise ValueError(f"n_blocks must be at most {MAX_SIM_BLOCKS}, got {n_blocks}")
     rng = random.Random(seed)
     timestamps = [0]
     targets = [initial_target]

@@ -403,6 +403,24 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("econ", "n_cohorts = 100000000\n", "n_cohorts must be at most 1000000"),
+    ("econ", "mode = calibrated-drop\nn_cohorts = 1000001\n",
+     "n_cohorts must be at most 1000000"),
+    ("chainsim", "window = 1000000000\nn_windows = 1\n",
+     "n_blocks must be at most 1000000, got 1000000000"),
+    ("chainsim", "window = 1000\nn_windows = 1001\n",
+     "n_blocks must be at most 1000000, got 1001000"),
+], ids=["econ-resilience", "econ-calibrated-drop", "chainsim-window",
+        "chainsim-n_windows"])
+def test_oversized_runs_exit_2(tmp_path, capsys, command, cfg, message):
+    # Refused up front, before the run allocates a point or a cohort per unit.
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     for subcommand in CONFIG_COMMANDS:
         code, out = run(tmp_path, subcommand, "bogus = 1\n")

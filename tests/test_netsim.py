@@ -1,15 +1,19 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opow.netsim import (
+    _SLAB_ROWS,
     ConfigurationError,
     MinerSpec,
     PartitionWindow,
     SimScenario,
+    _live_hits,
     attack_monte_carlo,
     attack_success_rate,
     catchup_probability,
@@ -219,6 +223,57 @@ def test_race_counts_are_pinned():
     assert attack_success_rate(0.5, 3, 25_000, seed=7).successes == 24399
     assert attack_success_rate(0.3, 3, 5000, seed=3, horizon_blocks=100,
                                abandon_margin=2).successes == 310
+
+
+def _assert_live_hits_match_full_draw(runs, k, live, seed=0, q=0.3):
+    live = np.asarray(live, dtype=np.int64)
+    full = np.random.Generator(np.random.PCG64(seed))
+    want = np.ascontiguousarray((full.random((runs, k)) < q)[live].T)
+    slabs = np.random.Generator(np.random.PCG64(seed))
+    got = _live_hits(slabs, q, runs, k, live)
+    assert got.dtype == bool and got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert slabs.bit_generator.state == full.bit_generator.state
+    assert slabs.random() == full.random()
+
+
+_S = _SLAB_ROWS
+
+
+@pytest.mark.parametrize("runs, k, live", [
+    (3 * _S, 256, []),
+    (3 * _S, 256, range(3 * _S)),
+    (3 * _S + 5, 256, [0]),
+    (3 * _S + 5, 256, [3 * _S + 4]),
+    (3 * _S, 256, [_S - 1, _S]),
+    (2 * _S + 7, 40, [1, _S - 1, _S, 2 * _S + 6]),
+    (25_000, 256, range(0, 25_000, 97)),
+    (2 * _S + 1, 1, [2 * _S]),
+], ids=["no-live-row", "all-live", "first-row", "last-row", "slab-boundary",
+        "partial-tail-chunk", "sparse-shard", "one-step"])
+def test_live_hits_is_the_full_draw_of_live_rows(runs, k, live):
+    _assert_live_hits_match_full_draw(runs, k, live)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), runs=st.integers(1, 2000), k=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_live_hits_property(data, runs, k, seed):
+    live = sorted(data.draw(st.sets(st.integers(0, runs - 1), max_size=runs)))
+    _assert_live_hits_match_full_draw(runs, k, live, seed)
+
+
+def test_race_shard_memory_is_bounded():
+    # A full (runs, 256) float64 draw would take 51 MB here; the slabbed
+    # draw keeps the (256, live) bool array and one 256 KiB slab.
+    tracemalloc.start()
+    try:
+        attack_success_rate(0.3, 6, 25_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # -- partitions -----------------------------------------------------------------
