@@ -7,6 +7,12 @@ separately against the header's own target.  Fork choice picks the tip with
 the most cumulative expected work, first-seen winning ties.  "Seen" means
 inserted into the tree: a pooled orphan is inserted when its parent arrives,
 and orphans of one parent are inserted in the order they were pooled.
+
+Every pooled orphan has passed its own PoW: its matrix needs only the
+parent's id, so the digest is checked against the header's own bits when the
+block arrives.  The header is immutable and the id commits to it, so that
+check still holds when the parent arrives, and the drain runs every other
+check but never derives a matrix or hashes.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import BinaryIO, Iterator, Optional
 from .heavyhash import WeightMatrix, generate_matrix
 from .pow import (
     BlockHeader,
+    CompactTargetError,
     HEADER_SIZE,
     RetargetParams,
     compact_from_target,
@@ -215,19 +222,30 @@ class ChainIndex:
                                  lambda h: stamps[h], self.params)
         return compact_from_target(value)
 
-    def _validate_against_parent(self, block: Block) -> Verdict:
-        """Consensus checks against the parent; ORPHAN if it is not in the
-        tree yet.  `add_block` has checked the payload commitment already."""
-        header = block.header
-        parent = self._entries.get(header.parent_hash)
-        if parent is None:
-            return Verdict.ORPHAN
+    # Each check returns the verdict that refuses the block, or None.
+
+    def _check_header(self, header: BlockHeader,
+                      parent: _Entry) -> Optional[Verdict]:
+        """The timestamp and the scheduled bits, against the parent."""
         if header.timestamp <= self.median_time_past(parent.hash):
             return Verdict.BAD_TIMESTAMP
         if header.compact_target != self.scheduled_compact(parent.hash):
             return Verdict.BAD_TARGET
-        if not verify_header(header, self.matrix_for(parent.hash)):
+        return None
+
+    def _check_pow(self, header: BlockHeader) -> Optional[Verdict]:
+        """The digest under the parent's matrix, against the header's own
+        bits: it needs the parent's id, not the parent."""
+        try:
+            target_from_compact(header.compact_target)
+        except CompactTargetError:
+            return Verdict.BAD_TARGET
+        if not verify_header(header, self.matrix_for(header.parent_hash)):
             return Verdict.BAD_POW
+        return None
+
+    def _check_spends(self, block: Block, parent: _Entry) -> Optional[Verdict]:
+        """No spend id twice in the block, nor on the parent's branch."""
         spends = [t.spend_id for t in block.transfers]
         if len(set(spends)) != len(spends):
             return Verdict.DOUBLE_SPEND
@@ -241,7 +259,7 @@ class ChainIndex:
                                          self.ancestors(parent.hash))
             if any(e.hash in carriers for e in branch):
                 return Verdict.DOUBLE_SPEND
-        return Verdict.VALID
+        return None
 
     # -- insertion -------------------------------------------------------
 
@@ -251,23 +269,27 @@ class ChainIndex:
         The commitment is checked first, as it needs no parent.  The id
         hashes only the header, so this is what refuses a copy of a block in
         the tree or the pool that carries other transfers, and what lets the
-        pool key on the id."""
+        pool key on the id.
+
+        With the parent in the tree, the checks run in the order timestamp,
+        bits, PoW, spends.  Without it, only the PoW runs, against the
+        block's own bits: a miss is BAD_POW and bits that do not decode are
+        BAD_TARGET.  So every pooled block has passed its own PoW, and each
+        block is derived and hashed at most once, on arrival."""
         bh = block_id(block)
-        if block.header.payload_commitment != transfers_commitment(block.transfers):
+        header = block.header
+        if header.payload_commitment != transfers_commitment(block.transfers):
             return AddReport(Verdict.BAD_COMMITMENT, bh, new_tip=self.tip)
         if bh in self._entries:
             return AddReport(Verdict.VALID, bh, new_tip=self.tip)
 
-        verdict = self._validate_against_parent(block)
-        if verdict is Verdict.ORPHAN:
-            if block.header.parent_hash in self._rejected:
-                # Its parent can never be inserted, so neither can it.
-                self._discard_pooled(bh)
-            else:
-                # A repeat of a pooled orphan keeps its first place in the pool.
-                self._orphans.setdefault(block.header.parent_hash, {}).setdefault(bh, block)
-            return AddReport(Verdict.ORPHAN, bh, new_tip=self.tip)
-        if verdict is not Verdict.VALID:
+        parent = self._entries.get(header.parent_hash)
+        if parent is None:
+            return AddReport(self._pool(block, bh), bh, new_tip=self.tip)
+        verdict = (self._check_header(header, parent)
+                   or self._check_pow(header)
+                   or self._check_spends(block, parent))
+        if verdict is not None:
             self._discard_pooled(bh)
             return AddReport(verdict, bh, new_tip=self.tip)
 
@@ -283,6 +305,23 @@ class ChainIndex:
             reorg_depth = self._entries[old_tip].height - ca.height
         return AddReport(Verdict.VALID, bh, tip_changed, reorg_depth,
                          self.tip, tuple(accepted[1:]))
+
+    def _pool(self, block: Block, bh: bytes) -> Verdict:
+        """Pool an orphan that passes its own PoW; the verdict to report."""
+        parent_hash = block.header.parent_hash
+        if bh in self._orphans.get(parent_hash, ()):
+            # A repeat keeps its first place in the pool, and is not hashed.
+            return Verdict.ORPHAN
+        if parent_hash in self._rejected:
+            # Its parent can never be inserted, so neither can it.
+            self._discard_pooled(bh)
+            return Verdict.ORPHAN
+        verdict = self._check_pow(block.header)
+        if verdict is not None:
+            self._discard_pooled(bh)
+            return verdict
+        self._orphans.setdefault(parent_hash, {})[bh] = block
+        return Verdict.ORPHAN
 
     def _insert(self, block: Block, bh: bytes) -> None:
         parent = self._entries[block.header.parent_hash]
@@ -302,13 +341,18 @@ class ChainIndex:
 
     def _drain_orphans(self, parent_hash: bytes, accepted: list[bytes]) -> None:
         # Depth first, each parent's orphans in pool order; an explicit stack
-        # so a deep pooled chain cannot exhaust the interpreter's.
+        # so a deep pooled chain cannot exhaust the interpreter's.  Every
+        # check runs but the PoW, which passed on arrival; an orphan mined
+        # to bits other than its scheduled ones ends BAD_TARGET here.
         stack = [iter(self._orphans.pop(parent_hash, {}).items())]
         while stack:
             bh, block = next(stack[-1], (None, None))
             if block is None:
                 stack.pop()
-            elif self._validate_against_parent(block) is Verdict.VALID:
+                continue
+            parent = self._entries[block.header.parent_hash]
+            if (self._check_header(block.header, parent)
+                    or self._check_spends(block, parent)) is None:
                 self._insert(block, bh)
                 accepted.append(bh)
                 stack.append(iter(self._orphans.pop(bh, {}).items()))

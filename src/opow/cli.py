@@ -330,9 +330,8 @@ def _attack_engine_mode(args, cfg: dict) -> list[dict]:
     for i in range(runs):
         scenario = dataclasses.replace(base, seed=args.seed + i)
         result = netsim.run_scenario(scenario)
-        row = result.to_dict()
-        if runs > 1:
-            row.pop("timeline")  # per-run timelines dwarf the summary output
+        # Per-run timelines would dwarf the summary output.
+        row = result.to_dict(timeline=runs == 1)
         row["record"] = "scenario_run"
         row["run"] = i
         records.append(row)

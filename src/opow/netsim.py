@@ -159,16 +159,19 @@ class SimResult:
     divergences: tuple[DivergenceReport, ...]
     stats: dict
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, timeline: bool = True) -> dict:
+        """The run as a record; without the timeline if `timeline` is false."""
+        row = {
             "node_tips": dict(self.node_tips),
             "node_heights": dict(self.node_heights),
             "reorg_counts": dict(self.reorg_counts),
             "attacker_success": self.attacker_success,
-            "timeline": [vars(r).copy() for r in self.timeline],
-            "divergences": [vars(d).copy() for d in self.divergences],
-            "stats": dict(self.stats),
         }
+        if timeline:
+            row["timeline"] = [vars(r).copy() for r in self.timeline]
+        row["divergences"] = [vars(d).copy() for d in self.divergences]
+        row["stats"] = dict(self.stats)
+        return row
 
 
 # ---------------------------------------------------------------------------

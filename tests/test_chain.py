@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,10 +29,12 @@ from opow.pow import (
     mine,
     serialize_header,
     target_from_compact,
+    verify_header,
     work_from_target,
 )
 
 EASY_BITS = compact_from_target(1 << 253)  # ~1 in 8 headers win
+LOOSE_BITS = compact_from_target(1 << 254)  # easier than any block here is scheduled
 
 
 @pytest.fixture()
@@ -200,13 +203,23 @@ def test_bogus_copy_of_an_orphan_cannot_displace_it(index):
     assert fresh.entry(block_id(b2)).block.transfers == b2.transfers
 
 
-def easy_child(parent_hash, timestamp, transfers=()):
-    """A winning EASY_BITS child of any parent id, known to an index or not."""
+def easy_child(parent_hash, timestamp, transfers=(), bits=EASY_BITS):
+    """A child of any parent id, known to an index or not, that wins against
+    its own bits (EASY_BITS unless given)."""
     template = BlockHeader(1, parent_hash, transfers_commitment(transfers),
-                           timestamp, EASY_BITS, 0)
+                           timestamp, bits, 0)
     nonce = mine(template, generate_matrix(parent_hash),
-                 target_from_compact(EASY_BITS), 0, 1 << 16, batch=64)
+                 target_from_compact(bits), 0, 1 << 16, batch=64)
     return Block(template.with_nonce(nonce), transfers)
+
+
+def losing_child(parent_hash, timestamp):
+    """An EASY_BITS child of any parent id with the smallest losing nonce."""
+    template = BlockHeader(1, parent_hash, transfers_commitment(()),
+                           timestamp, EASY_BITS, 0)
+    matrix = generate_matrix(parent_hash)
+    return Block(next(header for header in map(template.with_nonce, itertools.count())
+                      if not verify_header(header, matrix)))
 
 
 def test_rejected_block_drops_its_pooled_descendants(index):
@@ -253,6 +266,77 @@ def test_rejected_ids_are_forgotten_oldest_first(index, monkeypatch):
     # The first refused id was forgotten, so its child is pooled again.
     index.add_block(easy_child(block_id(bad[0]), 6_000))
     assert list(index._orphans) == [block_id(bad[0])]
+
+
+# -- checks on arrival ---------------------------------------------------------
+
+
+def count_checks(monkeypatch):
+    """Count the index's matrix derivations and PoW checks from now on."""
+    calls = {"generate_matrix": 0, "verify_header": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(chain_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(chain_module, name, counted)
+    return calls
+
+
+def test_bad_pow_orphan_is_refused_on_arrival(index, monkeypatch):
+    first = easy_child(index.genesis_hash, 600)
+    bad = losing_child(block_id(first), 1_200)
+    child = easy_child(block_id(bad), 1_800)
+    assert index.add_block(bad).verdict is Verdict.BAD_POW
+    assert index._orphans == {}
+    # The refused id is remembered: its child is not pooled, nor hashed.
+    calls = count_checks(monkeypatch)
+    assert index.add_block(child).verdict is Verdict.ORPHAN
+    assert index._orphans == {}
+    assert calls == {"generate_matrix": 0, "verify_header": 0}
+    report = index.add_block(first)
+    assert report.verdict is Verdict.VALID and report.accepted_orphans == ()
+
+
+def test_orphan_with_undecodable_bits_is_bad_target(index, monkeypatch):
+    zero_mantissa = 0x1D000000
+    header = BlockHeader(1, bytes(range(32)), transfers_commitment(()), 600,
+                         zero_mantissa, 0)
+    calls = count_checks(monkeypatch)
+    assert index.add_block(Block(header)).verdict is Verdict.BAD_TARGET
+    assert index._orphans == {}
+    assert calls == {"generate_matrix": 0, "verify_header": 0}
+
+
+def test_orphan_with_unscheduled_bits_is_dropped_at_the_drain(index):
+    first = easy_child(index.genesis_hash, 600)
+    loose = easy_child(block_id(first), 1_200, bits=LOOSE_BITS)
+    child = easy_child(block_id(loose), 1_800)
+    # Both pass their own PoW, so both are pooled ...
+    for block in (child, loose):
+        assert index.add_block(block).verdict is Verdict.ORPHAN
+    # ... and the drain's scheduled-bits check drops the pair.
+    report = index.add_block(first)
+    assert report.verdict is Verdict.VALID and report.accepted_orphans == ()
+    assert index._orphans == {}
+    assert index.tip == block_id(first)
+    assert index.add_block(loose).verdict is Verdict.BAD_TARGET
+
+
+def test_connecting_a_pooled_chain_derives_and_hashes_once(index, monkeypatch):
+    # No block is validated twice: each orphan was derived and hashed when
+    # it arrived, so the drain does neither.
+    build_chain(index, 20)
+    blocks = [index.entry(h).block for h in index.best_chain()[1:]]
+    fresh = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
+    for block in reversed(blocks[1:]):
+        assert fresh.add_block(block).verdict is Verdict.ORPHAN
+    calls = count_checks(monkeypatch)
+    assert fresh.add_block(blocks[5]).verdict is Verdict.ORPHAN  # a repeat
+    assert calls == {"generate_matrix": 0, "verify_header": 0}
+    report = fresh.add_block(blocks[0])
+    assert report.verdict is Verdict.VALID and len(report.accepted_orphans) == 19
+    assert calls == {"generate_matrix": 1, "verify_header": 1}
+    assert fresh.tip == index.tip
 
 
 def test_bad_commitment_keeps_the_pool_for_the_genuine_block(index):
@@ -386,6 +470,9 @@ _FORK_PARENTS = (0, 1, 2, 3, 4, 1, 6, 7, 2, 0)  # 0 is genesis, i is block i
 def _fork_tree():
     # Mined once: a five-block main chain, a three-block branch off its
     # first block, and one-block branches off its second block and genesis.
+    # Then three invalid blocks, each with the verdicts it may get: a bad-PoW
+    # child of block 3, a winning child of that one, and a child of block 7
+    # that wins against looser bits than scheduled.
     index = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
     ids, heights, blocks = [index.genesis_hash], [0], []
     for i, p in enumerate(_FORK_PARENTS):
@@ -396,18 +483,31 @@ def _fork_tree():
         ids.append(block_id(block))
     tip = index.tip_entry()
     assert tip.hash == ids[5] and sorted(heights)[-2] < tip.height  # no tie
-    return tuple(blocks), tip.hash, tip.cumulative_work
+    bad_pow = losing_child(ids[3], 600 * 4 + 50)
+    invalid = ((bad_pow, {Verdict.BAD_POW}),
+               (easy_child(block_id(bad_pow), 600 * 5 + 50), {Verdict.ORPHAN}),
+               (easy_child(ids[7], 600 * 4 + 50, bits=LOOSE_BITS),
+                {Verdict.ORPHAN, Verdict.BAD_TARGET}))
+    for block, verdicts in invalid:
+        assert index.add_block(block).verdict in verdicts
+    return tuple(blocks), invalid, tip.hash, tip.cumulative_work
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.permutations(range(len(_FORK_PARENTS))))
+@given(st.permutations(range(len(_FORK_PARENTS) + 3)))
 def test_fork_choice_is_independent_of_arrival_order(order):
-    blocks, tip, work = _fork_tree()
+    # Without any cap on the pool: the invalid blocks neither change the
+    # outcome nor stay in the pool.
+    blocks, invalid, tip, work = _fork_tree()
+    arrivals = [(b, {Verdict.VALID, Verdict.ORPHAN}) for b in blocks] + list(invalid)
     replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
     for i in order:
-        assert replayed.add_block(blocks[i]).verdict in (Verdict.VALID, Verdict.ORPHAN)
+        block, verdicts = arrivals[i]
+        assert replayed.add_block(block).verdict in verdicts
     assert replayed.tip == tip
     assert replayed.tip_entry().cumulative_work == work
+    assert not any(block_id(block) in replayed for block, _ in invalid)
+    assert replayed._orphans == {}
 
 
 def test_no_accepted_chain_has_duplicate_spend_ids(index):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -311,6 +312,26 @@ def test_attack_engine_mode_scenario_records(tmp_path):
     assert len(runs) == 50
     assert summary["record"] == "summary"
     assert summary["successes"] == sum(bool(r["attacker_success"]) for r in runs)
+
+
+def test_attack_engine_mode_runs_drop_only_the_timeline(tmp_path):
+    cfg = ("miners = h:0.7, a:0.3:attacker\n"
+           "mean_block_interval = 1\n"
+           "horizon_blocks = 200\n"
+           "confirmations = 2\n"
+           "runs = 3\n")
+    code, out = run(tmp_path, "attack", cfg, seed=11)
+    assert code == 0
+    runs = [r for r in read_records(out) if r["record"] == "scenario_run"]
+    base = netsim.scenario_from_config(
+        {"miners": ["h:0.7", "a:0.3:attacker"], "mean_block_interval": 1.0,
+         "horizon_blocks": 200, "confirmations": 2}, seed=11)
+    assert len(runs) == 3
+    for i, record in enumerate(runs):
+        expected = netsim.run_scenario(dataclasses.replace(base, seed=11 + i)).to_dict()
+        assert expected.pop("timeline")
+        expected.update(record="scenario_run", run=i)
+        assert record == json.loads(json.dumps(expected))
 
 
 def test_attack_rejects_nonpositive_runs(tmp_path):
