@@ -360,7 +360,7 @@ def _photonic(args, cfg: dict) -> list[dict]:
     noise = given(cfg, "detector_sigma", "adc_bits")
     grid = [photonic.NoiseModel(phase_sigma=s, **noise)
             for s in cfg.get("phase_sigmas", [0.0, 0.01, 0.05, 0.1])]
-    rows = photonic.fidelity_sweep(matrix, grid, seed=args.seed,
+    rows = photonic.fidelity_sweep(matrix, synth, grid, seed=args.seed,
                                    threads=args.threads, **given(cfg, "samples"))
     records: list[dict] = [{
         "record": "synthesis",

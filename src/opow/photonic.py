@@ -442,6 +442,10 @@ def synthesis_for(matrix: WeightMatrix) -> MeshSynthesis:
 # ---------------------------------------------------------------------------
 # analog evaluation with noise and quantization
 
+# Samples per fidelity_sweep.  A grid point in flight holds about 8 KB per
+# sample at dim 64: on 2 threads 10^4 samples peaked at 230 MB RSS.
+MAX_SAMPLES = 10**5
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -461,19 +465,18 @@ class NoiseModel:
             raise ValueError("adc_bits must be in [1, 53]")
 
 
-def analog_weighting_batch(matrix, xs: np.ndarray,
+def analog_weighting_batch(synth: MeshSynthesis, xs: np.ndarray,
                            noise: NoiseModel = NoiseModel(),
                            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Analog weighting of a batch of nibble vectors, rows of `xs`.
+    """Analog weighting of a batch of nibble vectors, rows of `xs`, on the
+    meshes of `synth`.
 
-    `matrix` may be a WeightMatrix (synthesis cached) or a prebuilt
-    MeshSynthesis.  Returns (estimates, intensities): truncated nibble
-    estimates shaped like `xs` and the quantized detector intensities.
-    Detection is square-law; because every exact accumulator is nonnegative,
-    taking the magnitude loses nothing, and at zero noise with a deep ADC
-    the estimate equals the digital weighting exactly.
+    Returns (estimates, intensities): truncated nibble estimates shaped like
+    `xs` and the quantized detector intensities.  Detection is square-law;
+    because every exact accumulator is nonnegative, taking the magnitude
+    loses nothing, and at zero noise with a deep ADC the estimate equals the
+    digital weighting exactly.
     """
-    synth = matrix if isinstance(matrix, MeshSynthesis) else synthesis_for(matrix)
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2 or xs.shape[1] != synth.dim:
         raise ValueError(f"inputs must be (batch, {synth.dim}) nibbles")
@@ -510,11 +513,12 @@ def analog_weighting_batch(matrix, xs: np.ndarray,
     return estimates.T, quantized.T
 
 
-def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
-                   samples: int = 1000, seed: int = 0,
+def fidelity_sweep(matrix: WeightMatrix, synth: MeshSynthesis,
+                   grid: list[NoiseModel], samples: int = 1000, seed: int = 0,
                    threads: int = 1) -> list[dict]:
     """Nibble and end-to-end error rates of the analog path over a noise grid.
 
+    `synth` is the mesh synthesis of `matrix`, built once by the caller.
     The same `samples` random nibble vectors are scored at every grid point
     (noise draws differ per point, deterministically from the seed).  A
     sample counts as an end-to-end HeavyHash mismatch when any estimated
@@ -529,9 +533,8 @@ def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
     if not isinstance(matrix, WeightMatrix):
         raise ValueError("fidelity_sweep needs a WeightMatrix, got "
                          f"{type(matrix).__name__}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    synth = synthesis_for(matrix)
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
     base = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     xs = base.integers(0, NIBBLE_MAX + 1, size=(samples, synth.dim))
     digital = weighting(matrix, xs)
@@ -556,9 +559,7 @@ def fidelity_sweep(matrix: WeightMatrix, grid: list[NoiseModel],
             "hash_mismatch_se": math.sqrt(mismatch_rate * (1 - mismatch_rate) / samples),
         }
 
-    if threads > 1 and len(grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # ~20 ms of cold start
 
-        with ThreadPoolExecutor(max_workers=min(threads, len(grid))) as pool:
-            return list(pool.map(score, range(len(grid)), grid))
-    return [score(idx, noise) for idx, noise in enumerate(grid)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(score, range(len(grid)), grid))

@@ -30,6 +30,6 @@ def m0():
 
 @pytest.fixture(scope="session")
 def m0_synthesis(m0):
-    from opow.photonic import synthesis_for
+    from opow.photonic import svd_synthesize
 
-    return synthesis_for(m0)
+    return svd_synthesize(m0)

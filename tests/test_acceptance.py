@@ -230,7 +230,7 @@ def test_08_analog_digital_equivalence(m0, m0_synthesis):
 def test_09_noise_monotonicity(m0, m0_synthesis):
     t0 = time.monotonic()
     grid = [NoiseModel(phase_sigma=s) for s in (0.0, 0.01, 0.05, 0.1)]
-    rows = fidelity_sweep(m0, grid, samples=1000, seed=909)
+    rows = fidelity_sweep(m0, m0_synthesis, grid, samples=1000, seed=909)
     rates = [row["nibble_error_rate"] for row in rows]
     ok = rates[0] == 0.0 and all(b >= a for a, b in zip(rates, rates[1:]))
     report(9, "Nibble error rate monotone in phase noise", ok,

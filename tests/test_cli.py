@@ -270,6 +270,36 @@ def test_photonic_zero_noise_sweep(tmp_path):
     assert zero_row["hash_mismatch_rate"] == 0.0
 
 
+def test_photonic_empty_grid_gives_the_synthesis_only(tmp_path):
+    code, out = run(tmp_path, "photonic", "dim = 16\nsamples = 10\nphase_sigmas =\n")
+    assert code == 0
+    assert [r["record"] for r in read_records(out)] == ["header", "synthesis"]
+
+
+def test_photonic_op_synthesizes_once(tmp_path, monkeypatch):
+    # Work budget: one synthesis per op on a matrix not seen before, and
+    # none inside the sweep.
+    made = []
+    svd_synthesize = photonic.svd_synthesize
+
+    def counted(matrix):
+        made.append(matrix)
+        return svd_synthesize(matrix)
+
+    monkeypatch.setattr(photonic, "svd_synthesize", counted)
+    monkeypatch.setattr(photonic, "_SYNTH_CACHE", {})
+    for n, seed in enumerate(("5a" * 32, "a5" * 32), 1):
+        code, _ = run(tmp_path, "photonic", "dim = 16\nsamples = 10\n"
+                      f"phase_sigmas = 0, 0.05\nmatrix_seed = {seed}\n", threads=2)
+        assert code == 0
+        assert len(made) == n
+    matrix = generate_matrix(b"\x5b" * 32, dim=16)
+    synth = svd_synthesize(matrix)
+    photonic.fidelity_sweep(matrix, synth, [photonic.NoiseModel()] * 3,
+                            samples=10, threads=2)
+    assert len(made) == 2
+
+
 # -- econ -------------------------------------------------------------------------
 
 
@@ -432,8 +462,10 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
      "n_blocks must be at most 1000000, got 1000000000"),
     ("chainsim", "window = 1000\nn_windows = 1001\n",
      "n_blocks must be at most 1000000, got 1001000"),
+    ("photonic", "dim = 16\nsamples = 100000000\n",
+     "samples must be in [1, 100000], got 100000000"),
 ], ids=["econ-resilience", "econ-calibrated-drop", "chainsim-window",
-        "chainsim-n_windows"])
+        "chainsim-n_windows", "photonic-samples"])
 def test_oversized_runs_exit_2(tmp_path, capsys, command, cfg, message):
     # Refused up front, before the run allocates a point or a cohort per unit.
     code, out = run(tmp_path, command, cfg)
@@ -477,6 +509,27 @@ def test_non_finite_config_floats_exit_2(tmp_path):
         code, out = run(tmp_path, subcommand, cfg)
         assert code == 2
         assert not out.exists()
+
+
+def test_non_finite_partition_times_exit_2(tmp_path, capsys):
+    # Refused before any run: a nan start would never open its window yet
+    # report a divergence at the end time.
+    for times in ("nan:100", "0:nan", "50:inf"):
+        code, out = run(tmp_path, "attack", "miners = a:0.5, b:0.5\n"
+                        f"horizon_blocks = 50\npartitions = {times}:a\n")
+        assert code == 2
+        assert not out.exists()
+        assert "partition" in capsys.readouterr().err
+
+
+def test_scalar_latency_is_a_point_range(tmp_path):
+    rows = []
+    for latency in ("5", "5, 5"):
+        code, out = run(tmp_path, "attack", "miners = a:0.5, b:0.5\n"
+                        f"horizon_blocks = 100\nruns = 3\nlatency = {latency}\n")
+        assert code == 0
+        rows.append(read_records(out)[1:])
+    assert rows[0] == rows[1]
 
 
 def test_photonic_phase_overflow_exits_3(tmp_path, capsys):
@@ -601,7 +654,8 @@ def _photonic(recs):
 def _sweep(dim=16, samples=20, **noise):
     grid = [photonic.NoiseModel(phase_sigma=0.05, **noise)]
     matrix = generate_matrix(_ZERO, dim=dim)
-    return dim, photonic.fidelity_sweep(matrix, grid, samples=samples, seed=0)
+    return dim, photonic.fidelity_sweep(matrix, photonic.svd_synthesize(matrix),
+                                        grid, samples=samples, seed=0)
 
 
 def _active(recs):

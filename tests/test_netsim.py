@@ -87,6 +87,22 @@ def test_partition_windows_must_not_overlap():
                     partitions=(PartitionWindow(0, 50, frozenset({"a", "b"})),))
 
 
+def test_partition_bounds_must_be_finite():
+    for start, end in ((math.nan, 100.0), (0.0, math.nan), (50.0, math.inf),
+                       (-1.0, 10.0), (10.0, 10.0)):
+        with pytest.raises(ConfigurationError, match="partition window"):
+            PartitionWindow(start, end, frozenset({"a"}))
+
+
+def test_scalar_latency_is_stored_as_a_pair():
+    sc = SimScenario(seed=0, miners=(MinerSpec("a", 1.0),), horizon_blocks=5,
+                     latency=5)
+    assert sc.latency == (5.0, 5.0)
+    with pytest.raises(ConfigurationError, match="latency"):
+        SimScenario(seed=0, miners=(MinerSpec("a", 1.0),), horizon_blocks=5,
+                    latency=-1)
+
+
 def test_horizon_required():
     with pytest.raises(ConfigurationError):
         SimScenario(seed=0, miners=(MinerSpec("a", 1.0),))

@@ -6,6 +6,7 @@ import pytest
 
 from opow.heavyhash import generate_matrix, identity_matrix, weighting
 from opow.photonic import (
+    MAX_SAMPLES,
     CouplerNode,
     DecompositionError,
     MeshConfiguration,
@@ -234,7 +235,7 @@ def test_analog_identity_matches_digital_zero_vector():
     ident = identity_matrix()
     rng = np.random.default_rng(6)
     x = rng.integers(0, 16, size=64)
-    est, _ = analog_weighting_batch(ident, x[np.newaxis])
+    est, _ = analog_weighting_batch(svd_synthesize(ident), x[np.newaxis])
     assert (est == 0).all()
 
 
@@ -262,17 +263,23 @@ def test_shallow_adc_is_worse_than_deep(m0, m0_synthesis):
 
 def test_fidelity_sweep_zero_noise_row_and_determinism(m0, m0_synthesis):
     grid = [NoiseModel(), NoiseModel(phase_sigma=0.05)]
-    rows = fidelity_sweep(m0, grid, samples=120, seed=3)
+    rows = fidelity_sweep(m0, m0_synthesis, grid, samples=120, seed=3)
     assert rows[0]["nibble_error_rate"] == 0.0
     assert rows[0]["hash_mismatch_rate"] == 0.0
     assert rows[1]["nibble_error_rate"] > 0.0
-    again = fidelity_sweep(m0, grid, samples=120, seed=3)
+    again = fidelity_sweep(m0, m0_synthesis, grid, samples=120, seed=3)
     assert rows == again
 
 
 def test_fidelity_sweep_needs_the_integer_matrix(m0_synthesis):
     with pytest.raises(ValueError, match="WeightMatrix"):
-        fidelity_sweep(m0_synthesis, [NoiseModel()], samples=10)
+        fidelity_sweep(m0_synthesis, m0_synthesis, [NoiseModel()], samples=10)
+
+
+def test_fidelity_sweep_sample_count_is_bounded(m0, m0_synthesis):
+    for samples in (0, MAX_SAMPLES + 1):
+        with pytest.raises(ValueError, match="samples must be in"):
+            fidelity_sweep(m0, m0_synthesis, [NoiseModel()], samples=samples)
 
 
 # -- bit equality with the plain per-layer expressions ------------------------
@@ -327,7 +334,9 @@ def test_phase_overflow_is_a_numeric_error():
 def test_fidelity_sweep_threads_invariant():
     matrix = generate_matrix(b"\x03" * 32, dim=16)
     grid = [NoiseModel(phase_sigma=s, detector_sigma=0.01) for s in (0.0, 0.02, 0.05, 0.1)]
-    rows = fidelity_sweep(matrix, grid, samples=60, seed=11, threads=1)
+    synth = svd_synthesize(matrix)
+    rows = fidelity_sweep(matrix, synth, grid, samples=60, seed=11, threads=1)
     assert rows[-1]["nibble_error_rate"] > 0.0
     for threads in (2, 5):
-        assert fidelity_sweep(matrix, grid, samples=60, seed=11, threads=threads) == rows
+        assert fidelity_sweep(matrix, synth, grid, samples=60, seed=11,
+                              threads=threads) == rows
