@@ -328,20 +328,31 @@ def heavyhash(params: HeavyHashParams, matrix: WeightMatrix, data: bytes) -> byt
     return heavyhash_many(params, matrix, [data])[0]
 
 
+# Inputs per pass of heavyhash_many's round loop: the numpy temporaries
+# take about 616 B per input, 2.5 MB for a block.
+_HASH_BLOCK = 4096
+
+
 def heavyhash_many(params: HeavyHashParams, matrix: WeightMatrix,
                    inputs: list[bytes]) -> list[bytes]:
     """HeavyHash of every input, in order.
 
-    Each round weights the nibbles of the whole batch in one matrix product.
+    The inputs run in blocks of `_HASH_BLOCK`: each round weights the
+    nibbles of one block in one matrix product, and a block runs all its
+    rounds before the next starts.  Beside the inputs and the returned
+    digests, the working set is one block's, about 2.5 MB, for any batch.
     """
     if matrix.dim != MATRIX_DIM:
         raise ParameterError(f"heavyhash needs a {MATRIX_DIM}-wide matrix")
-    data = list(inputs)
-    for _ in range(params.rounds):
-        packed = _weight_digests(
-            matrix, b"".join(hashlib.sha256(d).digest() for d in data))
-        data = [
-            hashlib.sha256(packed[i:i + DIGEST_SIZE]).digest()
-            for i in range(0, len(packed), DIGEST_SIZE)
-        ]
-    return data
+    out: list[bytes] = []
+    for start in range(0, len(inputs), _HASH_BLOCK):
+        data = inputs[start:start + _HASH_BLOCK]
+        for _ in range(params.rounds):
+            packed = _weight_digests(
+                matrix, b"".join(hashlib.sha256(d).digest() for d in data))
+            data = [
+                hashlib.sha256(packed[i:i + DIGEST_SIZE]).digest()
+                for i in range(0, len(packed), DIGEST_SIZE)
+            ]
+        out += data
+    return out

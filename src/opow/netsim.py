@@ -335,9 +335,11 @@ class _Engine:
 
     def _adopt(self, node_id: str, block_id: int) -> None:
         tip = self.tips[node_id]
+        block = self.blocks[block_id]
         height = self.blocks[tip].height
-        if self.blocks[block_id].height > height:  # equal height keeps first-seen
-            if self._fork_point(block_id, tip) != height:
+        if block.height > height:  # equal height keeps first-seen
+            # A block on the tip extends it; only another branch can reorg.
+            if block.parent_id != tip and self._fork_point(block_id, tip) != height:
                 self.reorgs[node_id] += 1  # the old tip is not an ancestor
             self.tips[node_id] = block_id
 
@@ -350,8 +352,10 @@ class _Engine:
                 continue
             if w is not None and (sender in w.side) != (other in w.side):
                 self.held.setdefault(idx, []).append((other, block_id))
-            else:
-                self._push(t + self._latency(), "deliver", (other, block_id))
+            else:  # self._push, inlined: one call less per delivery
+                heapq.heappush(self.heap, (t + self._latency(), self.seq,
+                                           "deliver", (other, block_id)))
+                self.seq += 1
 
     def _new_block(self, parent: int, miner: str, t: float,
                    private: bool) -> BlockRecord:
@@ -530,29 +534,35 @@ def _attack_stats(q: float, z: int, runs: int, successes: int) -> AttackStats:
 _DRAW_CHUNK = 256
 # Replicas per Monte-Carlo shard; shard i runs under seed + i.
 _SHARD_SIZE = 25_000
-# Replica rows drawn per slab: a 256 KiB float64 temporary at k = 256.  Not
-# part of the stream layout.
+# Replica rows drawn per slab: at most a 256 KiB float64 temporary at
+# k = 256.  Not part of the stream layout.
 _SLAB_ROWS = 128
 
 
 def _live_hits(rng: np.random.Generator, q: float, runs: int, k: int,
                live: np.ndarray) -> np.ndarray:
-    """The (k, live.size) attacker wins of `np.ascontiguousarray(
-    (rng.random((runs, k)) < q)[live].T)`, leaving `rng` where that draw
-    would, without the (runs, k) block.
+    """The attacker wins of `(rng.random((runs, k)) < q)[live].T`, bit-packed
+    along the step axis, leaving `rng` where that draw would, without the
+    (runs, k) block.
 
-    Row slabs holding a live replica are drawn; runs of dead slabs are
-    skipped with a jump-ahead.  Each float64 takes one 64-bit PCG64 output,
-    so the stream is unchanged.  `live` must be sorted ascending.
+    Returns a C-contiguous ((k + 7) // 8, live.size) uint8 array: bit j % 8
+    of row j // 8 is step j (`np.packbits(..., axis=0, bitorder="little")`),
+    0.8 MB for a 25k-replica shard at k = 256.  In each 128-row slab that
+    holds a live replica, only the rows from its first live replica to its
+    last are drawn, one float64 temporary of at most 256 KiB; the rows
+    around them are skipped with a jump-ahead.  Each float64 takes one
+    64-bit PCG64 output, so the stream is unchanged.  `live` must be sorted
+    ascending.
     """
-    out = np.empty((k, live.size), dtype=bool)
+    out = np.empty(((k + 7) // 8, live.size), dtype=np.uint8)
     lo = pos = 0  # first live column of the slab; rows drawn so far
     for s in np.unique(live // _SLAB_ROWS).tolist():
-        r0, r1 = s * _SLAB_ROWS, min((s + 1) * _SLAB_ROWS, runs)
+        hi = int(np.searchsorted(live, (s + 1) * _SLAB_ROWS))
+        r0, r1 = int(live[lo]), int(live[hi - 1]) + 1
         if r0 > pos:
             rng.bit_generator.advance((r0 - pos) * k)
-        hi = int(np.searchsorted(live, r1))
-        out[:, lo:hi] = (rng.random((r1 - r0, k)) < q)[live[lo:hi] - r0].T
+        hits = (rng.random((r1 - r0, k)) < q)[live[lo:hi] - r0]
+        out[:, lo:hi] = np.packbits(hits, axis=1, bitorder="little").T
         lo, pos = hi, r1
     if runs > pos:
         rng.bit_generator.advance((runs - pos) * k)
@@ -572,15 +582,18 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
 
     Only live replicas cost work.  Each chunk takes the (runs, k) block's
     worth of draws, so the stream layout never depends on who is still
-    racing, but `_live_hits` draws it in small row slabs, jumps over slabs
-    with no live replica, and keeps only a contiguous (k, live) array of
-    attacker wins.  Each block then adds one row into the live
+    racing, but `_live_hits` draws only the rows around live replicas, in
+    small slabs, and keeps their attacker wins bit-packed, one byte per
+    replica per 8 steps.  Eight steps at a time are unpacked into an
+    (8, live) array, and each block adds one of its rows into the live
     replicas' attacker counts `att_n`: after t blocks the deficit is
     z + t - 2·att_n, so a replica is level when 2·att_n == z + t (only for
     even z + t) and hopeless when 2·att_n <= t - abandon_margin.  Decided
-    replicas are dropped from the live arrays once fewer than half of them
-    are still racing, not at every death, and the loop stops as soon as
-    none is.
+    replicas are dropped from the live arrays, the packed wins included,
+    once fewer than half of them are still racing, not at every death, and
+    the loop stops as soon as none is.  The working set is O(runs): int64
+    counts and indices, the packed wins and one slab, under 4 MB traced
+    for a 25k-replica shard.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("q must satisfy 0 <= q < 1")
@@ -609,9 +622,12 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
         if alive < live.size:
             keep = att_n < done
             live, att_n = live[keep], att_n[keep]
-        cols = _live_hits(rng, q, runs, k, live)
+        packed = _live_hits(rng, q, runs, k, live)
         for j in range(k):
-            att_n += cols[j]
+            if j % 8 == 0:
+                wins = np.unpackbits(packed[j // 8][np.newaxis], axis=0,
+                                     bitorder="little")
+            att_n += wins[j % 8]
             t += 1
             if (z + t) % 2 == 0:
                 won = att_n == (z + t) // 2
@@ -630,7 +646,8 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
                 if not alive:
                     break
                 keep = att_n < done
-                live, att_n, cols = live[keep], att_n[keep], cols[:, keep]
+                live, att_n = live[keep], att_n[keep]
+                packed, wins = packed[:, keep], wins[:, keep]
     return _attack_stats(q, z, runs, successes)
 
 

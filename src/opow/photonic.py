@@ -442,8 +442,9 @@ def synthesis_for(matrix: WeightMatrix) -> MeshSynthesis:
 # ---------------------------------------------------------------------------
 # analog evaluation with noise and quantization
 
-# Samples per fidelity_sweep.  A grid point in flight holds about 8 KB per
-# sample at dim 64: on 2 threads 10^4 samples peaked at 230 MB RSS.
+# Samples per fidelity_sweep, and in flight across its grid points.  A
+# point holds about 8 KB per sample at dim 64: on 2 threads 10^4 samples
+# peaked at 230 MB RSS.
 MAX_SAMPLES = 10**5
 
 
@@ -527,8 +528,10 @@ def fidelity_sweep(matrix: WeightMatrix, synth: MeshSynthesis,
     WeightMatrix.
 
     Grid points run on up to `threads` worker threads (numpy releases the
-    GIL in the draws and ufuncs).  Each point has its own seeded generator,
-    so the rows are identical for any thread count.
+    GIL in the draws and ufuncs), and on no more points at once than hold
+    `MAX_SAMPLES` samples together: a sweep holds at most about 0.8 GB of
+    samples at dim 64, whatever `threads` is.  Each point has its own
+    seeded generator, so the rows are identical for any thread count.
     """
     if not isinstance(matrix, WeightMatrix):
         raise ValueError("fidelity_sweep needs a WeightMatrix, got "
@@ -561,5 +564,6 @@ def fidelity_sweep(matrix: WeightMatrix, synth: MeshSynthesis,
 
     from concurrent.futures import ThreadPoolExecutor  # ~20 ms of cold start
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = max(1, min(threads, len(grid), MAX_SAMPLES // samples))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(score, range(len(grid)), grid))

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opow.heavyhash import (
+    _HASH_BLOCK,
     HeavyHashParams,
     ParameterError,
     WeightMatrix,
@@ -299,6 +301,46 @@ def test_heavyhash_many_matches_scalar(m0):
             assert digest == ref_heavyhash(entries, data, rounds)
         assert heavyhash_many(params, m0, inputs[:1]) == batched[:1]
     assert heavyhash_many(PARAMS, m0, []) == []
+
+
+# heavyhash_many runs its rounds a block of _HASH_BLOCK inputs at a time:
+# batches at and around one and two blocks.
+_B = _HASH_BLOCK
+_EDGE_SIZES = [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3]
+_EDGE_INPUTS = [random.Random(i).randbytes(i % 120) for i in range(max(_EDGE_SIZES))]
+
+
+@pytest.fixture(scope="module")
+def per_input_digests(m0):
+    return {rounds: [heavyhash(HeavyHashParams(rounds=rounds), m0, data)
+                     for data in _EDGE_INPUTS]
+            for rounds in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("n", _EDGE_SIZES)
+def test_heavyhash_many_across_block_edges(m0, per_input_digests, n, rounds):
+    digests = heavyhash_many(HeavyHashParams(rounds=rounds), m0, _EDGE_INPUTS[:n])
+    assert digests == per_input_digests[rounds][:n]
+    # The first and last inputs of each block, against the reference.
+    entries = m0.entries.tolist()
+    for i in sorted({0, _B - 1, _B, 2 * _B - 1, 2 * _B, n - 1} & set(range(n))):
+        assert digests[i] == ref_heavyhash(entries, _EDGE_INPUTS[i], rounds)
+
+
+def test_heavyhash_many_working_memory_is_bounded(m0):
+    # One matrix product over a whole batch took about 616 B of numpy
+    # temporaries per input, 40 MB here; a block's take 2.5 MB, and the
+    # 65,536 returned digests about 4.7 MB.
+    headers = [i.to_bytes(88, "little") for i in range(65_536)]
+    tracemalloc.start()
+    try:
+        digests = heavyhash_many(PARAMS, m0, headers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(digests) == len(headers)
+    assert peak < 12e6
 
 
 def test_float32_kernel_exact_at_the_accumulator_bound(m0):

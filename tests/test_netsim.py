@@ -246,8 +246,10 @@ def _assert_live_hits_match_full_draw(runs, k, live, seed=0, q=0.3):
     full = np.random.Generator(np.random.PCG64(seed))
     want = np.ascontiguousarray((full.random((runs, k)) < q)[live].T)
     slabs = np.random.Generator(np.random.PCG64(seed))
-    got = _live_hits(slabs, q, runs, k, live)
-    assert got.dtype == bool and got.flags.c_contiguous
+    packed = _live_hits(slabs, q, runs, k, live)
+    assert packed.dtype == np.uint8 and packed.flags.c_contiguous
+    assert packed.shape == ((k + 7) // 8, live.size)
+    got = np.unpackbits(packed, axis=0, count=k, bitorder="little").astype(bool)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert slabs.bit_generator.state == full.bit_generator.state
@@ -281,15 +283,16 @@ def test_live_hits_property(data, runs, k, seed):
 
 
 def test_race_shard_memory_is_bounded():
-    # A full (runs, 256) float64 draw would take 51 MB here; the slabbed
-    # draw keeps the (256, live) bool array and one 256 KiB slab.
+    # A full (runs, 256) float64 draw would take 51 MB here, and a
+    # (256, live) bool array of wins 6.4 MB; the slabbed draw keeps the wins
+    # bit-packed, 0.8 MB, and one 256 KiB slab.
     tracemalloc.start()
     try:
         attack_success_rate(0.3, 6, 25_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 6e6
 
 
 # -- partitions -----------------------------------------------------------------

@@ -340,3 +340,27 @@ def test_fidelity_sweep_threads_invariant():
     for threads in (2, 5):
         assert fidelity_sweep(matrix, synth, grid, samples=60, seed=11,
                               threads=threads) == rows
+
+
+def test_fidelity_sweep_bounds_the_samples_in_flight(monkeypatch):
+    # With room for one 60-sample point under the cap, the sweep runs one
+    # point at a time, whatever `threads` asks for, and keeps its rows.
+    import concurrent.futures
+
+    import opow.photonic
+
+    matrix = generate_matrix(b"\x03" * 32, dim=16)
+    grid = [NoiseModel(phase_sigma=s, detector_sigma=0.01) for s in (0.0, 0.02, 0.05, 0.1)]
+    synth = svd_synthesize(matrix)
+    rows = fidelity_sweep(matrix, synth, grid, samples=60, seed=11, threads=1)
+    workers = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(opow.photonic, "MAX_SAMPLES", 100)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    assert fidelity_sweep(matrix, synth, grid, samples=60, seed=11, threads=4) == rows
+    assert workers == [1]
