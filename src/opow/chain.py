@@ -44,6 +44,7 @@ from .pow import (
 TRANSFER_FORMAT = "<QQQQ"  # sender, recipient, amount, spend_id
 TRANSFER_SIZE = struct.calcsize(TRANSFER_FORMAT)
 MEDIAN_WINDOW = 11
+RETARGET = RetargetParams()  # the consensus retarget schedule
 # Ids of refused blocks remembered so that their late children are not
 # pooled; the oldest is forgotten first.
 REJECTED_MEMORY = 4096
@@ -149,8 +150,7 @@ class AddReport:
 class ChainIndex:
     """Single-writer tree of validated blocks with most-work fork choice."""
 
-    def __init__(self, genesis: Block, params: RetargetParams = RetargetParams()):
-        self.params = params
+    def __init__(self, genesis: Block):
         self._entries: dict[bytes, _Entry] = {}
         self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
         self._rejected: dict[bytes, None] = {}  # FIFO of REJECTED_MEMORY ids
@@ -210,16 +210,14 @@ class ChainIndex:
         # Off a boundary the parent's bits carry over verbatim, even when
         # they are not the canonical encoding of the parent's target.
         parent = self._entries[parent_hash]
-        if not is_retarget_boundary(parent.height, self.params):
+        if not is_retarget_boundary(parent.height, RETARGET):
             return parent.block.header.compact_target
-        stamps = {}
-        for entry in self.ancestors(parent_hash):
-            stamps[entry.height] = entry.block.header.timestamp
-            if entry.height <= parent.height - self.params.window:
-                break
+        first = next(itertools.islice(self.ancestors(parent_hash),
+                                      RETARGET.window, None))
+        stamps = {e.height: e.block.header.timestamp for e in (first, parent)}
         parent_target = target_from_compact(parent.block.header.compact_target)
         value = scheduled_target(parent.height, parent_target,
-                                 lambda h: stamps[h], self.params)
+                                 stamps.__getitem__, RETARGET)
         return compact_from_target(value)
 
     # Each check returns the verdict that refuses the block, or None.

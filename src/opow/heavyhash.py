@@ -32,6 +32,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-_BLOCK = 256  # outputs per table refill: one 64x64 candidate
+_BLOCK = 256  # outputs per jump-table step: one 64x64 candidate
 _NIBBLE_SHIFTS = 4 * np.arange(16, dtype=np.uint64)
 
 
@@ -94,40 +95,28 @@ def _jump_table() -> np.ndarray:
     return table
 
 
-class Xoshiro256PlusPlus:
-    """xoshiro256++, drawn _BLOCK outputs at a time from the jump table.
+def _xoshiro_blocks(seed: bytes) -> Iterator[np.ndarray]:
+    """xoshiro256++ outputs as uint64 arrays of _BLOCK words, in order.
 
     Seeded from a 32-byte digest read as four little-endian 64-bit words,
     each conditioned through one SplitMix64 step so a zero digest (or any
-    zero word) cannot produce the forbidden all-zero state.
+    zero word) cannot produce the forbidden all-zero state.  Per block, the
+    XOR of one jump-table row per state nibble gives s0 and s3 of the next
+    _BLOCK states and the state after them; the ++ output reads s0 and s3.
     """
-
-    __slots__ = ("_state", "_words")
-
-    def __init__(self, seed: bytes):
-        _check_digest(seed, "seed")
-        words = struct.unpack("<4Q", seed)
-        s = [splitmix64(w) for w in words]
-        if not any(s):  # only reachable for one adversarial 256-bit seed
-            s[0] = 1
-        self._state = np.array(s, dtype=np.uint64)
-        self._words = np.empty(0, dtype=np.uint64)  # drawn, not yet served
-
-    def next_words(self, n: int) -> np.ndarray:
-        """The next `n` outputs, as uint64."""
-        while len(self._words) < n:
-            # XOR of one table row per state nibble: s0 and s3 of the next
-            # _BLOCK states, then the state after them.
-            nibbles = (self._state[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
-            rows = _jump_table()[np.arange(64), nibbles.ravel().astype(np.intp)]
-            words = np.bitwise_xor.reduce(rows, axis=0)
-            s0, s3 = words[:_BLOCK], words[_BLOCK:2 * _BLOCK]
-            self._state = words[2 * _BLOCK:]
-            r = s0 + s3
-            drawn = ((r << np.uint64(23)) | (r >> np.uint64(41))) + s0
-            self._words = np.concatenate([self._words, drawn])
-        out, self._words = self._words[:n], self._words[n:]
-        return out
+    s = [splitmix64(w) for w in struct.unpack("<4Q", seed)]
+    if not any(s):  # only reachable for one adversarial 256-bit seed
+        s[0] = 1
+    state = np.array(s, dtype=np.uint64)
+    table = _jump_table()
+    while True:
+        nibbles = (state[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
+        rows = table[np.arange(64), nibbles.ravel().astype(np.intp)]
+        words = np.bitwise_xor.reduce(rows, axis=0)
+        s0, s3 = words[:_BLOCK], words[_BLOCK:2 * _BLOCK]
+        state = words[2 * _BLOCK:]
+        r = s0 + s3
+        yield ((r << np.uint64(23)) | (r >> np.uint64(41))) + s0
 
 
 def _check_digest(value: bytes, name: str = "digest") -> None:
@@ -195,29 +184,6 @@ def _pack_nibbles(x: np.ndarray) -> bytes:
     return ((x[..., 0::2] << 4) | x[..., 1::2]).astype(np.uint8).tobytes()
 
 
-def digest_to_nibbles(digest: bytes) -> np.ndarray:
-    """Split a 32-byte digest into 64 nibbles, high nibble of each byte first."""
-    _check_digest(digest)
-    return _split_nibbles(bytes(digest))[0].astype(np.int64)
-
-
-def nibbles_to_digest(nibbles: np.ndarray) -> bytes:
-    """Inverse of digest_to_nibbles; exact round trip."""
-    arr = np.asarray(nibbles, dtype=np.int64)
-    if arr.shape != (2 * DIGEST_SIZE,):
-        raise ValueError(f"expected {2 * DIGEST_SIZE} nibbles")
-    if arr.min() < 0 or arr.max() > NIBBLE_MAX:
-        raise ValueError("nibble values must be in [0, 15]")
-    return _pack_nibbles(arr)
-
-
-def _draw_entries(rng: Xoshiro256PlusPlus, dim: int) -> np.ndarray:
-    # Row-major fill, 16 nibbles per 64-bit draw, least-significant nibble first.
-    words = rng.next_words(dim * dim // 16)
-    nibbles = (words[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
-    return nibbles.astype(np.int64).reshape(dim, dim)
-
-
 def matrix_is_full_rank(matrix) -> bool:
     """Exact rank test over the rationals.
 
@@ -273,19 +239,21 @@ def _certified_full_rank(entries: np.ndarray) -> bool:
 def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
     """Derive the weighting matrix for `seed`, deterministically.
 
-    Candidates are drawn from a single xoshiro256++ stream; a candidate that
-    is not full rank is discarded and the stream continues into the next one.
+    Candidates are drawn from a single xoshiro256++ stream, row-major, 16
+    nibbles per 64-bit word, least-significant nibble first: one candidate
+    per block at dim 64, sixteen at dim 16.  A candidate that is not full
+    rank is discarded and the stream continues into the next one.
     Rank-deficient candidates are vanishingly rare, so the loop all but
-    always exits on the first pass.
+    always exits on the first candidate.
     """
     _check_digest(seed, "seed")
     if dim not in (DEMO_DIM, MATRIX_DIM):
         raise ValueError(f"dim must be {DEMO_DIM} or {MATRIX_DIM}")
-    rng = Xoshiro256PlusPlus(seed)
-    while True:
-        entries = _draw_entries(rng, dim)
-        if _certified_full_rank(entries) or matrix_is_full_rank(entries):
-            return WeightMatrix(entries=entries, seed=bytes(seed))
+    for block in _xoshiro_blocks(seed):
+        nibbles = (block[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
+        for entries in nibbles.astype(np.int64).reshape(-1, dim, dim):
+            if _certified_full_rank(entries) or matrix_is_full_rank(entries):
+                return WeightMatrix(entries=entries, seed=bytes(seed))
 
 
 def _weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:

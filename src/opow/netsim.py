@@ -518,8 +518,9 @@ class AttackStats:
     z: int
     note: ClassVar[str] = (
         "success = private fork pulls level with the public chain after z "
-        "confirmations; oracle (q/(1-q))**z is exact for this model, unlike "
-        "the Poisson-corrected Nakamoto value")
+        "confirmations; oracle (q/(1-q))**z is this model's limit as the "
+        "horizon and the give-up margin grow, unlike the Poisson-corrected "
+        "Nakamoto value")
 
 
 def _attack_stats(q: float, z: int, runs: int, successes: int) -> AttackStats:

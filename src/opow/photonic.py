@@ -101,39 +101,14 @@ class MeshConfiguration:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "output_phases", phases)
 
-    def node_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-
-def identity_configuration(n: int) -> MeshConfiguration:
-    layers = tuple(
-        tuple(CouplerNode(0.0, 0.0) for _ in layer_pair_starts(n, idx))
-        for idx in range(n)
-    )
-    return MeshConfiguration(n=n, layers=layers, output_phases=np.zeros(n))
-
 
 # ---------------------------------------------------------------------------
 # input encoding
 
 
-def mzm_amplitude(phase: float) -> float:
-    """Transmission amplitude of a balanced MZM at the given drive phase."""
-    if not 0.0 <= phase <= math.pi:
-        raise ValueError("drive phase must be in [0, pi]")
-    return math.cos(phase / 2.0)
-
-
-def nibble_drive_phase(value: int) -> float:
-    """Drive phase that encodes a nibble: 0 -> pi (dark), 15 -> 0 (full)."""
-    if not 0 <= value <= NIBBLE_MAX:
-        raise ValueError("nibble must be in [0, 15]")
-    return 2.0 * math.acos(value / NIBBLE_MAX)
-
-
 def encode_nibbles(values) -> np.ndarray:
     """Optical field for a nibble vector, or a batch of them as rows:
-    amplitude x/15, zero phase."""
+    amplitude x/15 (an MZM driven at 2 arccos(x/15)), zero phase."""
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim not in (1, 2):
         raise ValueError("expected a nibble vector or a batch of them")
@@ -144,13 +119,6 @@ def encode_nibbles(values) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # propagation
-
-
-def coupler_unitary(node: CouplerNode) -> np.ndarray:
-    """2x2 transfer matrix C(theta) . P(phi) of one directional coupler."""
-    c, s = math.cos(node.theta), math.sin(node.theta)
-    eip = complex(math.cos(node.phi), math.sin(node.phi))
-    return np.array([[c * eip, 1j * s], [1j * s * eip, c]], dtype=np.complex128)
 
 
 def _perturb(base: np.ndarray, rng: np.random.Generator, sigma: float,

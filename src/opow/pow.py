@@ -38,10 +38,6 @@ class CompactTargetError(ValueError):
     """Compact bits that do not decode to a target in (0, 2**256)."""
 
 
-class InvalidWindowError(ValueError):
-    """Retarget timestamp window of the wrong shape."""
-
-
 @dataclass(frozen=True)
 class BlockHeader:
     version: int
@@ -151,27 +147,21 @@ class RetargetParams:
             raise ValueError("clamp_factor must exceed 1")
 
 
-def retarget(timestamps: list[int], current: int, params: RetargetParams) -> int:
+def retarget(span: int, current: int, params: RetargetParams) -> int:
     """New target after one window.
 
-    `timestamps` covers window+1 consecutive blocks; the elapsed span is
-    compared against window * expected_interval, the ratio clamped to
-    [1/clamp_factor, clamp_factor], and the target rescaled with exact
-    rational arithmetic and a final floor.
+    `span` is the last window timestamp minus the first, window blocks
+    apart.  Timestamps need only exceed the median time past, so it may be
+    short, zero or negative: like Bitcoin's, the ratio to window *
+    expected_interval is clamped to [1/clamp_factor, clamp_factor], and the
+    target rescaled with exact rational arithmetic and a final floor.
     """
     _check_target(current)
-    if len(timestamps) != params.window + 1:
-        raise InvalidWindowError(
-            f"need {params.window + 1} timestamps, got {len(timestamps)}"
-        )
-    if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
-        raise InvalidWindowError("timestamps must be strictly increasing")
-    span = params.window * params.expected_interval
-    actual = Fraction(timestamps[-1] - timestamps[0])
-    lo = Fraction(span) / params.clamp_factor
-    hi = Fraction(span) * params.clamp_factor
-    actual = min(max(actual, lo), hi)
-    scaled = Fraction(current) * actual / span
+    expected = params.window * params.expected_interval
+    lo = Fraction(expected) / params.clamp_factor
+    hi = Fraction(expected) * params.clamp_factor
+    actual = min(max(Fraction(span), lo), hi)
+    scaled = Fraction(current) * actual / expected
     new_target = scaled.numerator // scaled.denominator
     return max(1, min(new_target, TARGET_SPACE - 1))
 
@@ -187,15 +177,15 @@ def scheduled_target(parent_height: int, parent_target: int,
                      params: RetargetParams) -> int:
     """Target a child of the given parent must use.
 
-    Retargets on a window boundary (see `is_retarget_boundary`), using the
-    window+1 timestamps ending at the parent; the result is squeezed through
-    the compact encoding so consensus always compares encodable targets.
+    Retargets on a window boundary (see `is_retarget_boundary`), over the
+    span from the timestamp `window` blocks below the parent to the parent's;
+    the result is squeezed through the compact encoding so consensus always
+    compares encodable targets.
     """
     if not is_retarget_boundary(parent_height, params):
         return parent_target
-    ts = [timestamp_at(h) for h in
-          range(parent_height - params.window, parent_height + 1)]
-    raw = retarget(ts, parent_target, params)
+    span = timestamp_at(parent_height) - timestamp_at(parent_height - params.window)
+    raw = retarget(span, parent_target, params)
     return target_from_compact(compact_from_target(raw))
 
 
@@ -229,11 +219,11 @@ def mine(template: BlockHeader, matrix: WeightMatrix, target: int,
     return None
 
 
-def verify_header(header: BlockHeader, matrix: WeightMatrix,
-                  params: HeavyHashParams = HeavyHashParams()) -> bool:
-    """Re-run the PoW check a block claims: HeavyHash below its own target."""
+def verify_header(header: BlockHeader, matrix: WeightMatrix) -> bool:
+    """Re-run the PoW check a block claims: one HeavyHash round below its
+    own target."""
     target = target_from_compact(header.compact_target)
-    digest = heavyhash(params, matrix, serialize_header(header))
+    digest = heavyhash(HeavyHashParams(), matrix, serialize_header(header))
     return meets_target(digest, target)
 
 

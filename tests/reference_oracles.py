@@ -2,8 +2,10 @@
 
 Everything here is deliberately written against the same published
 definitions as the library but with different machinery: functional PRNG
-state, Fraction-based rank, pure-Python big-int weighting, naive matrix
-embedding for meshes, and a Hestenes one-sided Jacobi SVD.  The frozen
+state, Fraction-based rank, pure-Python big-int weighting, a coupler node as
+the product of its two published factors, naive matrix embedding and the
+brick pattern spelled out for meshes, and a Hestenes one-sided Jacobi SVD.
+Nothing here imports the library's mesh layout or node matrix.  The frozen
 values in tests/fixtures were produced by these oracles (see gen_fixtures).
 """
 
@@ -118,17 +120,27 @@ def ref_heavyhash(entries: list[list[int]], data: bytes, rounds: int = 1) -> byt
     return data
 
 
+def ref_coupler(theta: float, phi: float) -> np.ndarray:
+    """2x2 transfer matrix of one coupler node: C(theta) @ P(phi)."""
+    c, s = math.cos(theta), math.sin(theta)
+    mix = np.array([[c, 1j * s], [1j * s, c]])
+    shift = np.diag([np.exp(1j * phi), 1.0])
+    return mix @ shift
+
+
+def _brick_starts(n: int, layer: int) -> np.ndarray:
+    # Layer l couples the mode pairs (s, s + 1) for s = l mod 2, l mod 2 + 2, ...
+    return np.array([s for s in range(n - 1) if s % 2 == layer % 2], dtype=np.intp)
+
+
 def ref_mesh_unitary(config) -> np.ndarray:
     """Mesh transfer matrix by naive per-node embedding and matmul."""
-    from opow.photonic import coupler_unitary, layer_pair_starts
-
     n = config.n
     total = np.eye(n, dtype=complex)
     for idx, layer in enumerate(config.layers):
         block = np.eye(n, dtype=complex)
-        for start, node in zip(layer_pair_starts(n, idx), layer):
-            s = int(start)
-            block[s:s + 2, s:s + 2] = coupler_unitary(node)
+        for s, node in zip(_brick_starts(n, idx), layer, strict=True):
+            block[s:s + 2, s:s + 2] = ref_coupler(node.theta, node.phi)
         total = block @ total
     return np.diag(np.exp(1j * config.output_phases)) @ total
 
@@ -142,8 +154,6 @@ def ref_propagate(config, fields: np.ndarray,
     The library's propagate must match it bit for bit: the same draws in
     the same order through the same ufuncs.
     """
-    from opow.photonic import layer_pair_starts
-
     out = np.asarray(fields, dtype=np.complex128).copy()
     if out.ndim != 2 or out.shape[0] != config.n:
         raise ValueError(f"fields have shape {out.shape}, mesh has {config.n} modes")
@@ -152,7 +162,7 @@ def ref_propagate(config, fields: np.ndarray,
     if noisy and rng is None:
         raise ValueError("phase noise requires an rng")
     for idx, layer in enumerate(config.layers):
-        starts = layer_pair_starts(config.n, idx)
+        starts = _brick_starts(config.n, idx)
         if starts.size == 0:
             continue
         theta = np.array([node.theta for node in layer])[:, np.newaxis]

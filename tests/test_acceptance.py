@@ -23,11 +23,11 @@ from opow.econ import (
 from opow.econ import Cohort, MinerFleet
 from opow.heavyhash import (
     HeavyHashParams,
-    digest_to_nibbles,
+    _pack_nibbles,
+    _split_nibbles,
     heavyhash,
     heavyhash_many,
     identity_matrix,
-    nibbles_to_digest,
     weighting,
 )
 from opow.netsim import attack_success_rate, catchup_probability
@@ -115,8 +115,8 @@ def test_03_entropy_preservation(m0):
         digests.add(rng.randbytes(32))
     pre_outer = set()
     for d in digests:
-        x = digest_to_nibbles(d)
-        pre_outer.add(nibbles_to_digest(weighting(m0, x) ^ x))
+        x = _split_nibbles(d)[0]
+        pre_outer.add(_pack_nibbles(weighting(m0, x) ^ x))
     collisions = n - len(pre_outer)
     report(3, "Entropy preservation (pre-outer-hash collisions)",
            collisions == 0, f"{collisions} collisions over {n} distinct "

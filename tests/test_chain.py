@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import opow.chain as chain_module
 from opow.chain import (
+    RETARGET,
     Block,
     ChainIndex,
     Transfer,
@@ -22,7 +23,6 @@ from opow.heavyhash import HeavyHashParams, generate_matrix, heavyhash
 from opow.netsim import MinerSpec, SimScenario, integrated_run
 from opow.pow import (
     BlockHeader,
-    RetargetParams,
     compact_from_target,
     deserialize_header,
     meets_target,
@@ -626,17 +626,36 @@ def test_spend_index_matches_naive_ancestor_walk(tree):
 # -- retarget boundary in chain context --------------------------------------------
 
 
-def test_chain_retarget_boundary():
-    params = RetargetParams(window=4, expected_interval=600)
-    index = ChainIndex(make_genesis(EASY_BITS, timestamp=0), params=params)
+def test_chain_retarget_boundary(index):
     tip = index.genesis_hash
-    for i in range(4):  # heights 1..4 at 2x expected pace
+    for i in range(RETARGET.window):  # heights 1..64 at 2x expected pace
         tip = extend(index, tip, (i + 1) * 1200).block_hash
-    template = index.header_template(tip, (), timestamp=6000)
+    stamp = (RETARGET.window + 1) * 1200
+    template = index.header_template(tip, (), timestamp=stamp)
     want = target_from_compact(compact_from_target(
         2 * target_from_compact(EASY_BITS)))
     assert target_from_compact(template.compact_target) == want
-    assert extend(index, tip, 6000).verdict is Verdict.VALID
+    assert extend(index, tip, stamp).verdict is Verdict.VALID
+
+
+def test_window_that_steps_back_in_time_does_not_halt_the_chain(index):
+    # Every fifth block steps 30 s back.  Each timestamp is still above the
+    # median time past, so all 64 blocks are valid, and the boundary child
+    # must be scheduled from the window's span, not refused for it.
+    tip, stamp = index.genesis_hash, 0
+    for height in range(1, RETARGET.window + 1):
+        stamp += -30 if height % 5 == 0 else 1200
+        report = extend(index, tip, stamp)
+        assert report.verdict is Verdict.VALID
+        tip = report.block_hash
+    assert stamp == 52 * 1200 - 12 * 30
+    # The span 62,040 s over the expected 38,400 s, inside the clamp.
+    want = compact_from_target(target_from_compact(EASY_BITS) * stamp
+                               // (RETARGET.window * RETARGET.expected_interval))
+    child = index.mine_block(tip, (), stamp + 600)
+    assert child.header.compact_target == want
+    report = index.add_block(child)
+    assert report.verdict is Verdict.VALID and report.new_tip == block_id(child)
 
 
 def test_off_boundary_child_keeps_noncanonical_parent_bits():

@@ -8,22 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opow.heavyhash import (
+    _BLOCK,
     _HASH_BLOCK,
     HeavyHashParams,
     ParameterError,
     WeightMatrix,
-    Xoshiro256PlusPlus,
     _certified_full_rank,
-    _draw_entries,
+    _pack_nibbles,
+    _split_nibbles,
     _weight_digests,
+    _xoshiro_blocks,
     accumulator_max,
-    digest_to_nibbles,
     generate_matrix,
     heavyhash,
     heavyhash_many,
     identity_matrix,
     matrix_is_full_rank,
-    nibbles_to_digest,
     weighting,
     weighting_sums,
 )
@@ -60,6 +60,22 @@ def test_submodules_are_not_shadowed_by_package_names():
 # -- nibble codec ------------------------------------------------------------
 
 
+def digest_to_nibbles(digest: bytes) -> np.ndarray:
+    """The 64 nibbles of a digest through the program's split, high nibble
+    of each byte first."""
+    if len(digest) != 32:
+        raise ValueError("digest must be exactly 32 bytes")
+    return _split_nibbles(digest)[0].astype(np.int64)
+
+
+def nibbles_to_digest(nibbles) -> bytes:
+    """Inverse of digest_to_nibbles, through the program's packing."""
+    arr = np.asarray(nibbles, dtype=np.int64)
+    if arr.shape != (64,) or arr.min() < 0 or arr.max() > 15:
+        raise ValueError("expected 64 nibbles in [0, 15]")
+    return _pack_nibbles(arr)
+
+
 def test_nibble_split_examples():
     digest = bytes([0xAB, 0xCD]) + bytes(30)
     nibbles = digest_to_nibbles(digest)
@@ -86,23 +102,23 @@ def test_nibble_validation():
 # -- matrix generation -------------------------------------------------------
 
 
+def _xoshiro_words(seed: bytes, blocks: int) -> list[int]:
+    # The first `blocks` blocks of the stream, concatenated across their edges.
+    drawn = list(itertools.islice(_xoshiro_blocks(seed), blocks))
+    assert all(b.dtype == np.uint64 and b.shape == (_BLOCK,) for b in drawn)
+    return [v for b in drawn for v in b.tolist()]
+
+
 def test_xoshiro_matches_reference():
     rng = random.Random(7)
-    for _ in range(20):
-        seed = rng.randbytes(32)
-        gen = Xoshiro256PlusPlus(seed)
-        ours = [gen.next_words(15), gen.next_words(1), gen.next_words(24)]
-        assert np.concatenate(ours).tolist() == ref_xoshiro_words(seed, 40)
+    for seed in [bytes(32)] + [rng.randbytes(32) for _ in range(20)]:
+        assert _xoshiro_words(seed, 3) == ref_xoshiro_words(seed, 3 * _BLOCK)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.binary(min_size=32, max_size=32),
-       st.lists(st.integers(0, 600), max_size=6))
-def test_xoshiro_draws_across_refills_match_reference(seed, sizes):
-    gen = Xoshiro256PlusPlus(seed)
-    ours = [gen.next_words(n) for n in sizes]
-    assert all(w.dtype == np.uint64 and len(w) == n for w, n in zip(ours, sizes))
-    assert [v for w in ours for v in w.tolist()] == ref_xoshiro_words(seed, sum(sizes))
+@given(st.binary(min_size=32, max_size=32), st.integers(1, 3))
+def test_xoshiro_draws_across_refills_match_reference(seed, blocks):
+    assert _xoshiro_words(seed, blocks) == ref_xoshiro_words(seed, blocks * _BLOCK)
 
 
 def test_matrix_determinism():
@@ -197,12 +213,17 @@ def test_certificate_refuses_singular_and_certifies_only_full_rank():
 
 def test_first_candidate_full_rank_rate():
     # Fraction of first candidates that are already full rank, over 10**4
-    # seeds; expected essentially 1 (singular nibble matrices are rare).
+    # seeds; expected essentially 1 (singular nibble matrices are rare).  At
+    # dim 64 the first block is the first candidate, filled row-major, 16
+    # nibbles per word, least-significant nibble first.
     rng = random.Random(99)
+    shifts = 4 * np.arange(16, dtype=np.uint64)
     full = 0
     n = 10_000
     for _ in range(n):
-        entries = _draw_entries(Xoshiro256PlusPlus(rng.randbytes(32)), 64)
+        block = next(_xoshiro_blocks(rng.randbytes(32)))
+        entries = ((block[:, np.newaxis] >> shifts) & np.uint64(0xF)).astype(
+            np.int64).reshape(64, 64)
         if _certified_full_rank(entries) or matrix_is_full_rank(entries):
             full += 1
     assert full / n > 0.99

