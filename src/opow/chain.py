@@ -190,11 +190,6 @@ class ChainIndex:
                 return
             entry = self._entries[entry.block.header.parent_hash]
 
-    def best_chain(self) -> list[bytes]:
-        chain = [e.hash for e in self.ancestors(self.tip)]
-        chain.reverse()
-        return chain
-
     # -- validation ------------------------------------------------------
 
     def median_time_past(self, parent_hash: bytes) -> int:
@@ -214,11 +209,9 @@ class ChainIndex:
             return parent.block.header.compact_target
         first = next(itertools.islice(self.ancestors(parent_hash),
                                       RETARGET.window, None))
-        stamps = {e.height: e.block.header.timestamp for e in (first, parent)}
+        span = parent.block.header.timestamp - first.block.header.timestamp
         parent_target = target_from_compact(parent.block.header.compact_target)
-        value = scheduled_target(parent.height, parent_target,
-                                 stamps.__getitem__, RETARGET)
-        return compact_from_target(value)
+        return compact_from_target(scheduled_target(parent_target, span, RETARGET))
 
     # Each check returns the verdict that refuses the block, or None.
 

@@ -266,10 +266,10 @@ def _chainsim(args, cfg: dict) -> list[dict]:
     quotient = TARGET_SPACE / (hashrate * initial_interval)
     if not (math.isfinite(quotient) and 0 < int(quotient) < TARGET_SPACE):
         raise ConfigError("initial interval/hashrate give an unusable target")
-    points = simulate_retarget_chain(int(quotient), hashrate,
+    stamps = simulate_retarget_chain(int(quotient), hashrate,
                                      n_windows * params.window, params,
                                      seed=args.seed, **given(cfg, "stochastic"))
-    means = window_mean_intervals(points, params.window)
+    means = window_mean_intervals(stamps, params.window)
     records = [{
         "record": "window",
         "window": i,

@@ -57,27 +57,19 @@ class MarketState:
 
 
 def active_cohorts(fleet: MinerFleet, market: MarketState) -> list[bool]:
-    """Shutdown fixed point by iterated removal.
+    """Shutdown fixed point, in one pass.
 
     A cohort stays on while its pro-rata revenue (reward rate times its
     share of currently active hashrate) covers its opex; capex is sunk and
-    never forces a shutdown.  Each pass removes every underwater cohort at
-    once; removal only raises survivors' shares, so the process is monotone
-    and the fixed point unique.
+    never forces a shutdown.  Removing the underwater cohorts only raises
+    the survivors' shares (float sums and quotients are monotone too), so
+    no survivor of one pass over the whole fleet can drop in a second: that
+    pass gives the fixed point, and it is unique.
     """
-    active = [c.hashrate > 0 for c in fleet.cohorts]
     reward = market.reward_rate
-    while True:
-        total = sum(c.hashrate for c, a in zip(fleet.cohorts, active) if a)
-        if total == 0:
-            return active
-        drop = [
-            a and reward * (c.hashrate / total) < c.opex_rate
-            for c, a in zip(fleet.cohorts, active)
-        ]
-        if not any(drop):
-            return active
-        active = [a and not d for a, d in zip(active, drop)]
+    total = sum(c.hashrate for c in fleet.cohorts if c.hashrate > 0)
+    return [c.hashrate > 0 and not reward * (c.hashrate / total) < c.opex_rate
+            for c in fleet.cohorts]
 
 
 def active_hashrate(fleet: MinerFleet, market: MarketState) -> float:

@@ -275,3 +275,31 @@ def ref_attack_successes(q: float, z: int, runs: int, seed: int,
                     racing[i] = False
         steps += k
     return successes
+
+
+def ref_retarget_moment(w: int, interval: float, k: int) -> float:
+    """E[M**k] for the mean block interval M of one window of a stochastic,
+    unclamped retarget chain at a constant hashrate, for k < w.
+
+    A window's span is G * mu, with mu its mean block interval and G ~
+    Gamma(w, 1).  The retarget scales the target by G * mu / (w * I), so the
+    next window's mean interval is w * I / G whatever mu was, and from the
+    second window on M = I * G_k / G_(k-1) with the G iid (Kraft, Peer-to-Peer
+    Netw. Appl. 9, 2016).  E[G**k] = w (w+1) ... (w+k-1) and
+    E[G**-k] = 1 / ((w-1) (w-2) ... (w-k)).
+    """
+    if not 0 < k < w:
+        raise ValueError("moment k must be in (0, w)")
+    return interval ** k * math.prod(range(w, w + k)) / math.prod(range(w - k, w))
+
+
+def ref_retarget_moments(w: int, interval: float) -> tuple[float, float, float]:
+    """Mean, second moment and lag-1 covariance of the window mean interval
+    M of a stochastic retarget chain (see `ref_retarget_moment`).
+
+    The mean I * w / (w-1) is the estimator's bias.  Neighbouring windows
+    share one draw: M_k * M_(k+1) = I**2 * G_(k+1) / G_(k-1), whose mean is
+    I**2 * w / (w-1), so the covariance is -I**2 * w / (w-1)**2."""
+    mean = interval * w / (w - 1)
+    second = interval ** 2 * w * (w + 1) / ((w - 1) * (w - 2))
+    return mean, second, -interval ** 2 * w / (w - 1) ** 2

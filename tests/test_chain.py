@@ -49,6 +49,13 @@ def extend(index, parent, timestamp, transfers=()):
     return report
 
 
+def best_chain(index):
+    """Block ids from genesis to the tip."""
+    chain = [e.hash for e in index.ancestors(index.tip)]
+    chain.reverse()
+    return chain
+
+
 def build_chain(index, length, start_ts=600, step=600, spend_base=1000):
     tip = index.genesis_hash
     for i in range(length):
@@ -161,7 +168,7 @@ def test_deep_orphan_chain_in_reverse_order(index):
         block = Block(template.with_nonce(nonce))
         assert index.add_block(block).verdict is Verdict.VALID
         tip = block_id(block)
-    blocks = [index.entry(h).block for h in index.best_chain()[1:]]
+    blocks = [index.entry(h).block for h in best_chain(index)[1:]]
     replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
     for block in reversed(blocks[1:]):
         assert replayed.add_block(block).verdict is Verdict.ORPHAN
@@ -326,7 +333,7 @@ def test_connecting_a_pooled_chain_derives_and_hashes_once(index, monkeypatch):
     # No block is validated twice: each orphan was derived and hashed when
     # it arrived, so the drain does neither.
     build_chain(index, 20)
-    blocks = [index.entry(h).block for h in index.best_chain()[1:]]
+    blocks = [index.entry(h).block for h in best_chain(index)[1:]]
     fresh = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
     for block in reversed(blocks[1:]):
         assert fresh.add_block(block).verdict is Verdict.ORPHAN
@@ -415,7 +422,7 @@ def test_attacker_seven_vs_honest_six(index):
 
 def test_work_strictly_increases_along_chain(index):
     build_chain(index, 8)
-    works = [index.entry(h).cumulative_work for h in index.best_chain()]
+    works = [index.entry(h).cumulative_work for h in best_chain(index)]
     assert all(b > a for a, b in zip(works, works[1:]))
 
 
@@ -423,12 +430,12 @@ def test_arrival_order_independence(index):
     import itertools
 
     tip = build_chain(index, 3)
-    side = index.mine_block(index.best_chain()[1], (), timestamp=90_000)
+    side = index.mine_block(best_chain(index)[1], (), timestamp=90_000)
     index.add_block(side)
     final_tip = index.tip
     assert final_tip == tip  # main chain is strictly heavier
 
-    pool = [index.entry(h).block for h in index.best_chain()[1:]] + [side]
+    pool = [index.entry(h).block for h in best_chain(index)[1:]] + [side]
     # the orphan pool makes every arrival order equivalent, not just
     # parent-before-child ones; the side branch ends at height 2 with
     # cumulative work 21 against the main tip's 28, so no tie-break applies
@@ -443,12 +450,12 @@ def test_arrival_order_equal_work_keeps_first_inserted(index):
     import itertools
 
     tip = build_chain(index, 3)
-    side = index.mine_block(index.best_chain()[2], (), timestamp=90_000)
+    side = index.mine_block(best_chain(index)[2], (), timestamp=90_000)
     index.add_block(side)
     tied = (tip, block_id(side))
     assert index.entry(tied[0]).cumulative_work == index.entry(tied[1]).cumulative_work
 
-    pool = [index.entry(h).block for h in index.best_chain()[1:]] + [side]
+    pool = [index.entry(h).block for h in best_chain(index)[1:]] + [side]
     ancestors = [block_id(b) for b in pool[:2]]  # shared by both tied blocks
     for perm in itertools.permutations(pool):
         replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
@@ -513,7 +520,7 @@ def test_fork_choice_is_independent_of_arrival_order(order):
 def test_no_accepted_chain_has_duplicate_spend_ids(index):
     build_chain(index, 10)
     seen = set()
-    for h in index.best_chain():
+    for h in best_chain(index):
         for t in index.entry(h).block.transfers:
             assert t.spend_id not in seen
             seen.add(t.spend_id)
@@ -676,7 +683,7 @@ def test_off_boundary_child_keeps_noncanonical_parent_bits():
 
 def test_block_bytes_roundtrip(index):
     build_chain(index, 3)
-    for h in index.best_chain():
+    for h in best_chain(index):
         block = index.entry(h).block
         assert block_from_bytes(block_to_bytes(block)) == block
 
@@ -714,7 +721,7 @@ def test_transfers_commitment_is_sha256_of_records():
 
 def test_export_import_roundtrip(index):
     tip = build_chain(index, 5)
-    side = index.mine_block(index.best_chain()[3], (), timestamp=90_000)
+    side = index.mine_block(best_chain(index)[3], (), timestamp=90_000)
     index.add_block(side)
     buf = io.BytesIO()
     count = index.export_stream(buf)
@@ -722,7 +729,7 @@ def test_export_import_roundtrip(index):
     buf.seek(0)
     rebuilt = import_chain(buf)
     assert rebuilt.tip == index.tip == tip
-    assert set(rebuilt.best_chain()) == set(index.best_chain())
+    assert set(best_chain(rebuilt)) == set(best_chain(index))
 
 
 def test_import_rejects_tampered_stream(index):

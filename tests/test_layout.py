@@ -1,8 +1,9 @@
 """The package keeps only what the program or the benchmark runs.
 
-Every public module-level function and class in `src/opow` must be named
-somewhere in `src/opow` outside its own definition, or in `bench/`.  A name
-that only the tests call belongs with the tests.
+Every public module-level function and class in `src/opow`, and every public
+method and property of a public class, must be named somewhere in `src/opow`
+outside its own definition, or in `bench/`.  A name that only the tests call
+belongs with the tests.
 """
 
 import ast
@@ -27,24 +28,37 @@ def _referenced(node: ast.AST) -> set[str]:
     return names
 
 
+def _public(node: ast.AST, kinds) -> bool:
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
 def unreferenced_public_names(package: Path, others: list[Path]) -> list[str]:
-    defined = {}  # (module, name) -> its definition node
+    defined = {}  # qualified name -> the name a caller uses
     used = set()
     for path in sorted(package.glob("*.py")):
         tree = _parse(path)
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[path.stem, node.name] = node
-        # A definition's references to itself (recursion, a classmethod
+        # Each module-level statement, and each statement of a class body,
+        # is a unit; a unit's references to itself (recursion, a classmethod
         # returning its class) do not count as a caller.
+        units = []
         for node in tree.body:
-            own = getattr(node, "name", None)
-            used |= {name for name in _referenced(node) if name != own}
+            if _public(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if not isinstance(node, ast.ClassDef):
+                units.append(({getattr(node, "name", None)}, node))
+                continue
+            units += [({node.name}, expr) for expr in
+                      node.bases + node.keywords + node.decorator_list]
+            for item in node.body:
+                own = getattr(item, "name", None)
+                if _public(node, ast.ClassDef) and _public(item, ast.FunctionDef):
+                    defined[f"{path.stem}.{node.name}.{own}"] = own
+                units.append(({node.name, own}, item))
+        for own, unit in units:
+            used |= _referenced(unit) - own
     for path in others:
         used |= _referenced(_parse(path))
-    return sorted(f"{module}.{name}" for module, name in defined
-                  if name not in used)
+    return sorted(q for q, name in defined.items() if name not in used)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -58,9 +72,16 @@ def test_gate_flags_a_name_only_tests_call(tmp_path):
         "def used():\n    return helper()\n\n\n"
         "def helper():\n    return helper\n\n\n"
         "def orphan():\n    return orphan()\n\n\n"
-        "class Kept:\n    pass\n\n\n"
-        "def _private():\n    pass\n")
+        "class Kept:\n"
+        "    def called(self):\n        return self.called()\n\n"
+        "    def uncalled(self):\n        return self.uncalled()\n\n"
+        "    @property\n    def size(self):\n        return 0\n\n"
+        "    def _private(self):\n        pass\n\n\n"
+        "class _Hidden:\n    def method(self):\n        pass\n\n\n"
+        "def _private():\n    return _Hidden\n")
     driver = tmp_path / "bench" / "driver.py"
     driver.parent.mkdir()
-    driver.write_text("import mod\nmod.used()\nmod.Kept()\n")
-    assert unreferenced_public_names(tmp_path, [driver]) == ["mod.orphan"]
+    driver.write_text("import mod\nmod.used()\nk = mod.Kept()\n"
+                      "k.called()\nprint(k.size)\n")
+    assert unreferenced_public_names(tmp_path, [driver]) == [
+        "mod.Kept.uncalled", "mod.orphan"]

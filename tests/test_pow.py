@@ -1,4 +1,7 @@
+import math
 import random
+import statistics
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from opow.pow import (
     TARGET_SPACE,
     compact_from_target,
     deserialize_header,
+    is_retarget_boundary,
     meets_target,
     mine,
     retarget,
@@ -25,6 +29,7 @@ from opow.pow import (
     window_mean_intervals,
     work_from_target,
 )
+from reference_oracles import ref_retarget_moment, ref_retarget_moments
 
 PARAMS = HeavyHashParams()
 
@@ -303,10 +308,55 @@ def test_retarget_chain_converges_from_16x_off():
 def test_retarget_chain_stochastic_mode_runs():
     params = RetargetParams(window=32)
     initial = int(TARGET_SPACE / (1.0e6 * 600))
-    points = simulate_retarget_chain(initial, 1.0e6, 3 * params.window, params,
+    stamps = simulate_retarget_chain(initial, 1.0e6, 3 * params.window, params,
                                      stochastic=True, seed=5)
-    stamps = [p.timestamp for p in points]
     assert all(b > a for a, b in zip(stamps, stamps[1:]))
+
+
+@pytest.mark.parametrize("window, n_windows", [(8, 6000), (16, 4000)])
+def test_stochastic_retarget_matches_exact_moments(window, n_windows):
+    # Started at the right target, every window after the first has the
+    # stationary law of ref_retarget_moments.  The mean window interval is
+    # biased high by w / (w-1); the bound uses the iid SE, which the negative
+    # lag-1 covariance makes conservative.  The variance of the squared
+    # deviations' mean is at most 3 * (mu4 - var**2) / n: they are
+    # 1-dependent (M_k shares a draw only with its neighbours), and by
+    # Cauchy-Schwarz the lag-1 term is at most the lag-0 one.  The clamp
+    # (factor 4) binds on about 1e-3 of the windows at w = 8 and moves the
+    # mean by well under a second; at w <= 4 it binds often, and no law is
+    # checked there.
+    interval, hashrate = 600, 1.0e6
+    params = RetargetParams(window=window, expected_interval=interval)
+    stamps = simulate_retarget_chain(int(TARGET_SPACE / (interval * hashrate)),
+                                     hashrate, window * n_windows, params,
+                                     stochastic=True, seed=0)
+    means = window_mean_intervals(stamps, window)[1:]
+    n = len(means)
+    mean, second, lag1 = ref_retarget_moments(window, interval)
+    assert lag1 < 0
+    var = second - mean ** 2
+    assert abs(statistics.fmean(means) - mean) <= 4 * math.sqrt(var / n)
+    m1, m2, m3, m4 = (ref_retarget_moment(window, interval, k) for k in (1, 2, 3, 4))
+    mu4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
+    bound = 4 * math.sqrt(3 * (mu4 - var ** 2) / n)
+    sd = statistics.stdev(means)
+    assert math.sqrt(var - bound) <= sd <= math.sqrt(var + bound)
+
+
+def test_retarget_chain_memory_is_bounded():
+    # The chain keeps one timestamp per block, about 40 B (a small int and
+    # its list slot); a point, a timestamp and a target per block took about
+    # 220 B, 11 MB here.
+    params = RetargetParams()
+    tracemalloc.start()
+    try:
+        stamps = simulate_retarget_chain(int(TARGET_SPACE / (1.0e6 * 9600)), 1.0e6,
+                                         50_000, params, stochastic=True, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stamps) == 50_000
+    assert peak < 5e6
 
 
 def test_scheduled_target_boundary_rule():
@@ -314,6 +364,6 @@ def test_scheduled_target_boundary_rule():
     stamps = {h: h * 1200 for h in range(9)}  # running 2x slow
     base = 1 << 200
     # non-boundary parents inherit
-    assert scheduled_target(3, base, lambda h: stamps[h], params) == base
-    doubled = scheduled_target(4, base, lambda h: stamps[h], params)
+    assert not is_retarget_boundary(3, params)
+    doubled = scheduled_target(base, stamps[4] - stamps[0], params)
     assert doubled == target_from_compact(compact_from_target(2 * base))
