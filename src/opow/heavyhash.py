@@ -10,14 +10,17 @@ One round over an input byte string:
 The 64x64 weighting matrix M has 4-bit entries, is derived deterministically
 from a 32-byte seed with xoshiro256++, and must be full rank over the
 rationals so the weighting stage does not collapse distinct inputs.  Full
-rank is shown by an exact integer residual certificate on a float64 inverse
-(Rump's verified inverse, done in integers) or, where that certificate is
-refused, by exact Bareiss elimination; no verdict rests on rounding.  The
-whole consensus path is exact integer arithmetic.  The weighting matmul runs
-in float32 and stays exact under any BLAS summation order: every product is
-at most 225 and every partial sum an integer of at most 64 * 225 = 14400,
-below 2**24.  `heavyhash_many` holds the one round loop, over a batch of
-inputs; `heavyhash` is a batch of one.
+rank is shown by a float64 Cholesky of the exact Gram matrix A.T @ A, shifted
+down by Rump's constant; where that refuses, by an exact integer residual
+certificate on a float64 inverse; and where that refuses too, by exact
+Bareiss elimination.  Each float step is a theorem about IEEE-754 binary64
+arithmetic in any evaluation order and only ever certifies: a refusal passes
+the candidate on to the next step.  So the verdict is the exact one on every
+conforming platform, and the whole consensus path is exact.  The weighting
+matmul runs in float32 and stays exact under any BLAS summation order: every
+product is at most 225 and every partial sum an integer of at most
+64 * 225 = 14400, below 2**24.  `heavyhash_many` holds the one round loop,
+over a batch of inputs; `heavyhash` is a batch of one.
 
 The xoshiro256 state update is linear over GF(2), so s0 and s3 of the next
 256 states (all the ++ output reads) and the state after them are the XOR
@@ -213,14 +216,48 @@ def matrix_is_full_rank(matrix) -> bool:
     return True
 
 
+def _rump_factor(dim: int) -> float:
+    # 2 g / (1 - g) for g = gamma_(n+2) = (n+2) u / (1 - (n+2) u), u = 2**-53:
+    # exactly m / (2**52 - m) with m = n + 2, rounded up to a float.
+    m, d = dim + 2, 2**52 - dim - 2
+    f = m / d
+    num, den = f.as_integer_ratio()
+    return f if num * d >= m * den else math.nextafter(f, math.inf)
+
+
+_RUMP_FACTOR = {dim: _rump_factor(dim) for dim in (DEMO_DIM, MATRIX_DIM)}
+
+
 def _certified_full_rank(entries: np.ndarray) -> bool:
-    # One-sided certificate, exact: X = rint(inv(A) * 2**e) with |X| <= 2**42,
-    # so every partial sum of X @ A is an integer below 2**42 * 960 < 2**52
-    # and float64 computes it exactly in any summation order.  If every row
-    # of |2**e * I - X @ A| sums below 2**e, then X @ A / 2**e is within 1 of
-    # I in the infinity norm, hence invertible, and so is A.  False is
-    # inconclusive and falls back to the exact test.
+    # Two one-sided certificates, each a theorem about binary64 arithmetic in
+    # any evaluation order; False is inconclusive and falls back to the exact
+    # test.  A refusal of the first goes on to the second, so a seed whose
+    # candidate the first refuses costs an inverse, not a Bareiss.
+    #
+    # First: A is full rank iff G = A.T @ A is positive definite, and G is
+    # exact (its partial sums are integers of at most 64 * 225 = 14400).
+    # Rump (BIT Numer. Math. 46 (2006) 433-452): if floating-point Cholesky
+    # of G - s*I runs to completion, with s >= 2 g / (1 - g) * tr(G) plus an
+    # underflow term, then G is positive definite.  g = gamma_(n+2), not
+    # Rump's gamma_(n+1), also covers a trsm that multiplies by reciprocals.
+    # s is the power of two above fl(factor * tr(G)): it clears the exact
+    # product by over 2**-154 (tr(G) >= 1) or is 1 (tr(G) = 0), far beyond
+    # the underflow term, and s >= 2**-48 * tr(G) keeps G - s*I exact.
     a = entries.astype(np.float64)
+    gram = a.T @ a
+    n = len(gram)
+    shift = 2.0 ** math.frexp(_RUMP_FACTOR[n] * float(np.trace(gram)))[1]
+    gram.flat[::n + 1] -= shift
+    try:
+        np.linalg.cholesky(gram)
+        return True
+    except np.linalg.LinAlgError:
+        pass
+    # Second: X = rint(inv(A) * 2**e) with |X| <= 2**42, so every partial sum
+    # of X @ A is an integer below 2**42 * 960 < 2**52 and float64 computes
+    # it exactly in any summation order.  If every row of |2**e * I - X @ A|
+    # sums below 2**e, then X @ A / 2**e is within 1 of I in the infinity
+    # norm, hence invertible, and so is A.
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:

@@ -277,6 +277,36 @@ def ref_attack_successes(q: float, z: int, runs: int, seed: int,
     return successes
 
 
+def exact_race_probability(q: float, z: int, horizon_blocks: int,
+                           abandon_margin: int) -> float:
+    """Probability that one replica of the library's double-spend race pulls
+    level, by dynamic programming over its deficit.
+
+    The rules are `attack_success_rate`'s: the deficit starts at z and each
+    of at most horizon_blocks - z blocks moves it down one with probability
+    q (an attacker block) or up one; reaching 0 is a success, and below an
+    even split a deficit of z + abandon_margin gives the race up.  `live[d]`
+    holds the probability of racing on at deficit d; each block is one shift
+    and scale, then the absorbed entries are taken out."""
+    if z == 0:
+        return 1.0
+    budget = horizon_blocks - z
+    give_up = q < 0.5
+    # Deficits a replica can race on at: below the give-up line, whose mass
+    # steps off the top of the array, or at most z + budget without one.
+    live = np.zeros(z + abandon_margin if give_up else z + budget + 1)
+    live[z] = 1.0
+    success = 0.0
+    for _ in range(budget):
+        step = np.zeros_like(live)
+        step[1:] = (1.0 - q) * live[:-1]
+        step[:-1] += q * live[1:]
+        success += step[0]
+        step[0] = 0.0
+        live = step
+    return success
+
+
 def ref_retarget_moment(w: int, interval: float, k: int) -> float:
     """E[M**k] for the mean block interval M of one window of a stochastic,
     unclamped retarget chain at a constant hashrate, for k < w.

@@ -211,22 +211,96 @@ def test_certificate_refuses_singular_and_certifies_only_full_rank():
     assert matrix_is_full_rank(ill)
 
 
-def test_first_candidate_full_rank_rate():
+def _count_calls(monkeypatch, owner, name) -> list:
+    # Replace owner.name by a wrapper that records each call's arguments.
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_first_candidate_full_rank_rate(monkeypatch):
     # Fraction of first candidates that are already full rank, over 10**4
     # seeds; expected essentially 1 (singular nibble matrices are rare).  At
     # dim 64 the first block is the first candidate, filled row-major, 16
-    # nibbles per word, least-significant nibble first.
+    # nibbles per word, least-significant nibble first.  Work budget: the
+    # shifted Gram Cholesky certifies all but 3 of them, the inverse
+    # certificate those 3, and no candidate reaches Bareiss.
+    inverses = _count_calls(monkeypatch, np.linalg, "inv")
     rng = random.Random(99)
     shifts = 4 * np.arange(16, dtype=np.uint64)
-    full = 0
+    full = bareiss = 0
     n = 10_000
     for _ in range(n):
         block = next(_xoshiro_blocks(rng.randbytes(32)))
         entries = ((block[:, np.newaxis] >> shifts) & np.uint64(0xF)).astype(
             np.int64).reshape(64, 64)
-        if _certified_full_rank(entries) or matrix_is_full_rank(entries):
+        if _certified_full_rank(entries):
             full += 1
+        else:
+            bareiss += 1
+            full += matrix_is_full_rank(entries)
     assert full / n > 0.99
+    assert (len(inverses), bareiss) == (3, 0)
+
+
+def test_candidate_the_cholesky_step_refuses_goes_to_the_inverse(monkeypatch):
+    # Seed 1167 of test_first_candidate_full_rank_rate's: the shifted Gram
+    # Cholesky refuses its first candidate, the inverse certificate takes it,
+    # and the matrix is that first candidate, as the reference derives it.
+    import opow.heavyhash as hh
+
+    seed = bytes.fromhex(
+        "33dc1276e60c683e1dcfcbe2c1ac4fafd10cb0f88021096eb88d5c122b7b8338")
+    inverses = _count_calls(monkeypatch, np.linalg, "inv")
+    bareiss = _count_calls(monkeypatch, hh, "matrix_is_full_rank")
+    entries = generate_matrix(seed).entries
+    assert (len(inverses), len(bareiss)) == (1, 0)
+    assert entries.tolist() == ref_matrix(seed)
+
+
+@st.composite
+def rank_deficient(draw, dim):
+    """A nibble matrix of rank below `dim`: one row a copy of another, zero,
+    or the sum of 2 to 5 others (reduced so the sum stays in [0, 15]), over
+    random nibbles; transposed half the time, so columns too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, 16, size=(dim, dim))
+    target = draw(st.integers(0, dim - 1))
+    others = st.integers(0, dim - 1).filter(lambda i: i != target)
+    kind = draw(st.sampled_from(["copy", "zero", "sum"]))
+    if kind == "copy":
+        m[target] = m[draw(others)]
+    elif kind == "zero":
+        m[target] = 0
+    else:
+        rows = draw(st.lists(others, min_size=2, max_size=5, unique=True))
+        m[rows] %= 15 // len(rows) + 1
+        m[target] = m[rows].sum(axis=0)
+    return m.T if draw(st.booleans()) else m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([16, 64]).flatmap(rank_deficient))
+def test_certificate_never_certifies_a_rank_deficient_matrix(m):
+    assert not _certified_full_rank(m)
+    if len(m) == 16:
+        assert not ref_rank_is_full(m.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient(16), st.integers(0, 255), st.sampled_from([-1, 1]))
+def test_certificate_agrees_with_exact_rank_at_dim_16(m, at, step):
+    # One entry of a rank-deficient matrix moved by one: often full rank but
+    # ill-conditioned, sometimes still singular.  Certified means full rank.
+    m = m.copy()
+    m.flat[at] = min(max(m.flat[at] + step, 0), 15)
+    if _certified_full_rank(m):
+        assert ref_rank_is_full(m.tolist())
 
 
 def test_generated_matrix_is_full_rank():

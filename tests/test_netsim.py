@@ -21,7 +21,7 @@ from opow.netsim import (
     nakamoto_probability,
     run_scenario,
 )
-from reference_oracles import ref_attack_successes
+from reference_oracles import exact_race_probability, ref_attack_successes
 
 
 def two_miner_attack(seed, q, z, horizon=4000, margin=24):
@@ -239,6 +239,28 @@ def test_race_counts_are_pinned():
     assert attack_success_rate(0.5, 3, 25_000, seed=7).successes == 24399
     assert attack_success_rate(0.3, 3, 5000, seed=3, horizon_blocks=100,
                                abandon_margin=2).successes == 310
+
+
+@pytest.mark.parametrize("q, z, horizon, margin, runs, seed, exact", [
+    # The parameters of test_race_counts_are_pinned's races, and their exact
+    # rates.
+    (0.3, 3, 100, 2, 5000, 3, 0.065202),
+    (0.5, 3, 10_000, 64, 25_000, 7, 0.976065),
+    (0.3, 6, 10_000, 64, 100_000, 0, 0.006196),
+    # Short horizons and small margins, below, at and above an even split.
+    (0.45, 2, 40, 1, 20_000, 11, None),
+    (0.4, 5, 30, 3, 20_000, 12, None),
+    (0.5, 4, 25, 1, 20_000, 13, None),
+    (0.6, 6, 20, 1, 20_000, 14, None),
+    (0.75, 9, 30, 2, 20_000, 15, None),
+])
+def test_race_rate_matches_exact_oracle(q, z, horizon, margin, runs, seed, exact):
+    p = exact_race_probability(q, z, horizon, margin)
+    if exact is not None:
+        assert round(p, 6) == exact
+    stats = attack_success_rate(q, z, runs, seed, horizon_blocks=horizon,
+                                abandon_margin=margin)
+    assert abs(stats.rate - p) < 4 * math.sqrt(p * (1 - p) / runs)
 
 
 def _assert_live_hits_match_full_draw(runs, k, live, seed=0, q=0.3):
