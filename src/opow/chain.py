@@ -134,7 +134,6 @@ class _Entry:
     hash: bytes
     height: int
     cumulative_work: int
-    seq: int
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,10 @@ class ChainIndex:
         self._rejected: dict[bytes, None] = {}  # FIFO of REJECTED_MEMORY ids
         self._matrix: Optional[WeightMatrix] = None  # the last one derived
         self._spenders: dict[int, list[bytes]] = {}  # spend id -> carrier ids
-        self._seq = 0
         # Genesis is the trust anchor: stored as-is, never PoW-validated.
         gh = block_id(genesis)
         target = target_from_compact(genesis.header.compact_target)
-        self._entries[gh] = _Entry(genesis, gh, 0, work_from_target(target), 0)
+        self._entries[gh] = _Entry(genesis, gh, 0, work_from_target(target))
         self._index_spends(genesis, gh)
         self.genesis_hash = gh
         self.tip = gh
@@ -317,9 +315,7 @@ class ChainIndex:
     def _insert(self, block: Block, bh: bytes) -> None:
         parent = self._entries[block.header.parent_hash]
         work = work_from_target(target_from_compact(block.header.compact_target))
-        self._seq += 1
-        entry = _Entry(block, bh, parent.height + 1,
-                       parent.cumulative_work + work, self._seq)
+        entry = _Entry(block, bh, parent.height + 1, parent.cumulative_work + work)
         self._entries[bh] = entry
         self._index_spends(block, bh)
         # Strictly more work displaces the tip; equal work keeps first-inserted.
@@ -409,13 +405,13 @@ class ChainIndex:
     # -- import/export ----------------------------------------------------
 
     def export_stream(self, fp: BinaryIO) -> int:
-        """Write all blocks as a length-prefixed stream, parents first."""
-        entries = sorted(self._entries.values(), key=lambda e: (e.height, e.seq))
-        for entry in entries:
+        """Write all blocks as a length-prefixed stream in insertion order:
+        parents first, and an import that replays it keeps the same tip."""
+        for entry in self._entries.values():
             raw = block_to_bytes(entry.block)
             fp.write(struct.pack("<I", len(raw)))
             fp.write(raw)
-        return len(entries)
+        return len(self._entries)
 
 
 def import_chain(fp: BinaryIO) -> ChainIndex:

@@ -122,9 +122,9 @@ def _xoshiro_blocks(seed: bytes) -> Iterator[np.ndarray]:
         yield ((r << np.uint64(23)) | (r >> np.uint64(41))) + s0
 
 
-def _check_digest(value: bytes, name: str = "digest") -> None:
-    if not isinstance(value, (bytes, bytearray)) or len(value) != DIGEST_SIZE:
-        raise ValueError(f"{name} must be exactly {DIGEST_SIZE} bytes")
+def _check_seed(seed: bytes) -> None:
+    if not isinstance(seed, (bytes, bytearray)) or len(seed) != DIGEST_SIZE:
+        raise ValueError(f"seed must be exactly {DIGEST_SIZE} bytes")
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class WeightMatrix:
             raise ValueError(f"matrix dimension must be {DEMO_DIM} or {MATRIX_DIM}")
         if entries.min() < 0 or entries.max() > NIBBLE_MAX:
             raise ValueError("matrix entries must be in [0, 15]")
-        _check_digest(self.seed, "seed")
+        _check_seed(self.seed)
         weights_t = entries.T.astype(np.float32)
         for arr in (entries, weights_t):
             arr.setflags(write=False)
@@ -283,7 +283,7 @@ def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
     Rank-deficient candidates are vanishingly rare, so the loop all but
     always exits on the first candidate.
     """
-    _check_digest(seed, "seed")
+    _check_seed(seed)
     if dim not in (DEMO_DIM, MATRIX_DIM):
         raise ValueError(f"dim must be {DEMO_DIM} or {MATRIX_DIM}")
     for block in _xoshiro_blocks(seed):

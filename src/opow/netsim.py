@@ -69,7 +69,7 @@ class SimScenario:
     seed: int
     miners: tuple[MinerSpec, ...]
     mean_block_interval: float = 600.0
-    latency: tuple = (0.0, 0.0)  # (lo, hi) uniform range; a scalar x is (x, x)
+    latency: tuple = (0.0, 0.0)  # (lo, hi) uniform range
     horizon_blocks: Optional[int] = None
     horizon_seconds: Optional[float] = None
     confirmations: int = 6
@@ -103,8 +103,7 @@ class SimScenario:
             raise ConfigurationError("confirmations must be >= 0")
         if self.abandon_margin < 1:
             raise ConfigurationError("abandon_margin must be >= 1")
-        lo, hi = (self.latency if isinstance(self.latency, (tuple, list))
-                  else (self.latency, self.latency))
+        lo, hi = self.latency
         if lo < 0 or hi < lo:
             raise ConfigurationError("latency range needs 0 <= lo <= hi")
         object.__setattr__(self, "latency", (float(lo), float(hi)))

@@ -62,44 +62,43 @@ class NumericError(RuntimeError):
     """Numerical synthesis failure (non-convergence, degenerate scale)."""
 
 
-@dataclass(frozen=True)
-class CouplerNode:
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValueError("theta must be in [0, pi/2]")
-        if not 0.0 <= self.phi < TWO_PI:
-            raise ValueError("phi must be in [0, 2*pi)")
-
-
-def layer_pair_starts(n: int, layer: int) -> np.ndarray:
-    """First mode of each coupled pair in the given brick layer."""
-    return np.arange(layer % 2, n - 1, 2)
-
-
 @dataclass(frozen=True, eq=False)
 class MeshConfiguration:
-    n: int
-    layers: tuple  # tuple of per-layer tuples of CouplerNode
+    """Node angles, two (n, n // 2) arrays, and the n output phases of a mesh.
+
+    Row l of `theta` and `phi` is brick layer l; column j is the node on the
+    pair starting at mode l mod 2 + 2j.  An odd layer of an even mesh has
+    one pair fewer, so its last column must hold zeros.
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
     output_phases: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("mode count must be >= 1")
-        layers = tuple(tuple(layer) for layer in self.layers)
-        if len(layers) != self.n:
-            raise ValueError(f"mesh must have exactly {self.n} layers")
-        for idx, layer in enumerate(layers):
-            if len(layer) != len(layer_pair_starts(self.n, idx)):
-                raise ValueError(f"layer {idx} has the wrong node count")
         phases = np.ascontiguousarray(self.output_phases, dtype=np.float64)
-        if phases.shape != (self.n,):
-            raise ValueError("output_phases must have one entry per mode")
+        n = phases.size
+        if phases.ndim != 1 or n < 1:
+            raise ValueError("output_phases must have one entry per mode, n >= 1")
+        angles = np.array((self.theta, self.phi), dtype=np.float64)
+        if angles.shape != (2, n, n // 2):
+            raise ValueError(f"theta and phi must have shape {(n, n // 2)}")
+        angles.setflags(write=False)
         phases.setflags(write=False)
-        object.__setattr__(self, "layers", layers)
+        theta, phi = angles
+        if not ((0.0 <= theta) & (theta <= math.pi / 2)).all():
+            raise ValueError("theta must be in [0, pi/2]")
+        if not ((0.0 <= phi) & (phi < TWO_PI)).all():
+            raise ValueError("phi must be in [0, 2*pi)")
+        if n % 2 == 0 and angles[:, 1::2, -1].any():
+            raise ValueError("an odd layer of an even mesh has no last node")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "output_phases", phases)
+
+    @property
+    def n(self) -> int:
+        return self.output_phases.size
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +157,14 @@ def propagate(config: MeshConfiguration, fields: np.ndarray,
     products = np.empty((4, rows, batch), dtype=np.complex128)
     if noisy:
         angles = np.empty((4, rows, batch))  # theta, phi, cos, sin
-    for idx, layer in enumerate(config.layers):
-        k = len(layer)
-        if k == 0:
-            continue
+    for idx in range(n):
         first = idx % 2
+        k = (n - first) // 2  # pairs; none at n = 1 and in n = 2's odd layer
         top = out[first:first + 2 * k:2]
         bot = out[first + 1:first + 2 * k:2]
         t, u, v, w = products[:, :k]  # c e^{i phi} a, i s b, i s e^{i phi} a, c b
-        theta = np.array([node.theta for node in layer])[:, np.newaxis]
-        phi = np.array([node.phi for node in layer])[:, np.newaxis]
+        theta = config.theta[idx, :k, np.newaxis]
+        phi = config.phi[idx, :k, np.newaxis]
         if noisy:
             theta_k, phi_k, c, s = angles[:, :k]
             theta = _perturb(theta, rng, phase_sigma, theta_k)
@@ -254,14 +251,14 @@ def _apply_t_rows(work: np.ndarray, top: int, theta: float, phi: float) -> None:
     work[top + 1, :] = 1j * s * eip * ra + c * rb
 
 
-def _pack_layers(n: int, ops: list[tuple[int, float, float]]) -> tuple:
-    """Place ops (in application order) onto the brick pattern.
+def _pack_layers(n: int, ops: list[tuple[int, float, float]]) -> np.ndarray:
+    """Place ops (in application order) onto the stacked (theta, phi) arrays.
 
     Earliest legal layer per op: after any earlier op sharing a mode, with
     the layer parity matching the pair parity.  The Clements op schedule
     always fits in the N-layer rectangle; the guard catches regressions.
     """
-    assignments: list[dict[int, tuple[float, float]]] = [dict() for _ in range(n)]
+    angles = np.zeros((2, n, n // 2))
     last_touch = [-1] * n
     for mode, theta, phi in ops:
         ready = max(last_touch[mode], last_touch[mode + 1]) + 1
@@ -269,17 +266,10 @@ def _pack_layers(n: int, ops: list[tuple[int, float, float]]) -> tuple:
             ready += 1
         if ready >= n:
             raise NumericError("mesh packing exceeded the N-layer rectangle")
-        assignments[ready][mode] = (theta, phi)
+        angles[:, ready, mode // 2] = theta, phi
         last_touch[mode] = ready
         last_touch[mode + 1] = ready
-    layers = []
-    for idx in range(n):
-        layer = tuple(
-            CouplerNode(*assignments[idx].get(int(start), (0.0, 0.0)))
-            for start in layer_pair_starts(n, idx)
-        )
-        layers.append(layer)
-    return tuple(layers)
+    return angles
 
 
 def clements_decompose(u: np.ndarray) -> MeshConfiguration:
@@ -335,8 +325,7 @@ def clements_decompose(u: np.ndarray) -> MeshConfiguration:
         converted.append((mode, theta, phi_new))
 
     ops = right_ops + converted  # application order, input side first
-    layers = _pack_layers(n, ops)
-    return MeshConfiguration(n=n, layers=layers, output_phases=np.angle(d))
+    return MeshConfiguration(*_pack_layers(n, ops), output_phases=np.angle(d))
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,12 @@ def ref_mesh_unitary(config) -> np.ndarray:
     """Mesh transfer matrix by naive per-node embedding and matmul."""
     n = config.n
     total = np.eye(n, dtype=complex)
-    for idx, layer in enumerate(config.layers):
+    for idx in range(n):
         block = np.eye(n, dtype=complex)
-        for s, node in zip(_brick_starts(n, idx), layer, strict=True):
-            block[s:s + 2, s:s + 2] = ref_coupler(node.theta, node.phi)
+        for s in _brick_starts(n, idx):
+            # The node on pair (s, s + 1) sits in column s // 2.
+            theta, phi = config.theta[idx, s // 2], config.phi[idx, s // 2]
+            block[s:s + 2, s:s + 2] = ref_coupler(theta, phi)
         total = block @ total
     return np.diag(np.exp(1j * config.output_phases)) @ total
 
@@ -161,12 +163,12 @@ def ref_propagate(config, fields: np.ndarray,
     noisy = phase_sigma > 0.0
     if noisy and rng is None:
         raise ValueError("phase noise requires an rng")
-    for idx, layer in enumerate(config.layers):
+    for idx in range(config.n):
         starts = _brick_starts(config.n, idx)
         if starts.size == 0:
             continue
-        theta = np.array([node.theta for node in layer])[:, np.newaxis]
-        phi = np.array([node.phi for node in layer])[:, np.newaxis]
+        theta = np.array([config.theta[idx, s // 2] for s in starts])[:, np.newaxis]
+        phi = np.array([config.phi[idx, s // 2] for s in starts])[:, np.newaxis]
         if noisy:
             theta = theta + rng.normal(0.0, phase_sigma, (starts.size, batch))
             phi = phi + rng.normal(0.0, phase_sigma, (starts.size, batch))

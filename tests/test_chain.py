@@ -49,6 +49,18 @@ def extend(index, parent, timestamp, transfers=()):
     return report
 
 
+def exported_ids(index):
+    """Block ids in the order `export_stream` writes them."""
+    buf = io.BytesIO()
+    index.export_stream(buf)
+    raw, ids = buf.getvalue(), []
+    while raw:
+        length = int.from_bytes(raw[:4], "little")
+        ids.append(block_id(block_from_bytes(raw[4:4 + length])))
+        raw = raw[4 + length:]
+    return ids
+
+
 def best_chain(index):
     """Block ids from genesis to the tip."""
     chain = [e.hash for e in index.ancestors(index.tip)]
@@ -192,7 +204,7 @@ def test_repeated_orphan_is_pooled_once(index):
     report = fresh.add_block(b1)
     assert report.verdict is Verdict.VALID
     assert report.accepted_orphans == (block_id(b2), block_id(c2))
-    assert [fresh.entry(block_id(b)).seq for b in (b1, b2, c2)] == [1, 2, 3]
+    assert exported_ids(fresh)[1:] == [block_id(b) for b in (b1, b2, c2)]
     assert fresh.tip == block_id(b2)
 
 
@@ -461,7 +473,8 @@ def test_arrival_order_equal_work_keeps_first_inserted(index):
         replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
         for block in perm:
             replayed.add_block(block)
-        first = min(tied, key=lambda h: replayed.entry(h).seq)
+        inserted = exported_ids(replayed)
+        first = min(tied, key=inserted.index)
         assert replayed.tip == first
         # first inserted = whose last missing block arrived first; when one
         # arrival connects both, the pool drains them in their arrival order
@@ -730,6 +743,32 @@ def test_export_import_roundtrip(index):
     rebuilt = import_chain(buf)
     assert rebuilt.tip == index.tip == tip
     assert set(best_chain(rebuilt)) == set(best_chain(index))
+
+
+def test_export_import_keeps_an_equal_work_tip():
+    # Two branches off a shared prefix end at equal cumulative work 134 at
+    # different heights: A (inserted first, so the tip) at height 66 with an
+    # unchanged target, work 2 a block; B at height 65, whose first window
+    # ran twice as fast, so its last block has work 4.  The import must keep
+    # A: a height-ordered replay reaches B65 before A66 and ends on B65.
+    index = ChainIndex(make_genesis(0x207FFFFF, timestamp=0))
+    fork = index.genesis_hash
+    for height in range(1, 11):
+        fork = extend(index, fork, height * 600).block_hash
+    a = b = fork
+    for height in range(11, 67):  # window span 38,400 s, as expected
+        a = extend(index, a, height * 600).block_hash
+    for height in range(11, 66):  # window span 19,200 s
+        stamp = 6000 + (height - 10) * 13_200 // 54 if height <= 64 else 19_800
+        b = extend(index, b, stamp).block_hash
+    assert index.entry(b).block.header.compact_target == 0x203FFFFF
+    assert [index.entry(h).height for h in (a, b)] == [66, 65]
+    assert index.entry(a).cumulative_work == index.entry(b).cumulative_work == 134
+    assert index.tip == a
+    buf = io.BytesIO()
+    index.export_stream(buf)
+    buf.seek(0)
+    assert import_chain(buf).tip == a
 
 
 def test_import_rejects_tampered_stream(index):

@@ -454,6 +454,10 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_SCENARIO_BLOCKS_ERROR = ("a run may create at most 100000 blocks: lower "
+                          "horizon_blocks, or horizon_seconds / mean_block_interval")
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     ("econ", "n_cohorts = 100000000\n", "n_cohorts must be at most 1000000"),
     ("econ", "mode = calibrated-drop\nn_cohorts = 1000001\n",
@@ -464,14 +468,30 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
      "n_blocks must be at most 1000000, got 1001000"),
     ("photonic", "dim = 16\nsamples = 100000000\n",
      "samples must be in [1, 100000], got 100000000"),
+    ("attack", "miners = a:0.5, b:0.5\nmean_block_interval = 1\nhorizon_seconds = 1e9\n",
+     _SCENARIO_BLOCKS_ERROR),
+    ("attack", "miners = a:0.5, b:0.5\nhorizon_blocks = 100001\n", _SCENARIO_BLOCKS_ERROR),
+    ("attack", "miners = a:0.5, b:0.5\nhorizon_blocks = 10\nruns = 10001\n",
+     "runs must be in [1, 10000], got 10001"),
 ], ids=["econ-resilience", "econ-calibrated-drop", "chainsim-window",
-        "chainsim-n_windows", "photonic-samples"])
+        "chainsim-n_windows", "photonic-samples", "attack-horizon_seconds",
+        "attack-horizon_blocks", "attack-runs"])
 def test_oversized_runs_exit_2(tmp_path, capsys, command, cfg, message):
-    # Refused up front, before the run allocates a point or a cohort per unit.
+    # Refused up front, before the run allocates a point, a cohort, a block
+    # or a record per unit.
     code, out = run(tmp_path, command, cfg)
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_engine_block_bound_takes_the_smaller_horizon(tmp_path):
+    # Each horizon may pass the bound when the other one binds first.
+    for horizons in ("horizon_blocks = 100001\nhorizon_seconds = 10\n",
+                     "horizon_blocks = 10\nhorizon_seconds = 1e9\n"):
+        code, _ = run(tmp_path, "attack", "miners = a:0.5, b:0.5\n"
+                      "mean_block_interval = 1\n" + horizons)
+        assert code == 0
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -733,7 +753,7 @@ _CALLEE_DEFAULTS = [
                  lambda: _scenario(_PAIR, horizon_blocks=20, mean_block_interval=60.0),
                  id="scenario-mean_block_interval"),
     pytest.param("attack", _TWO + "horizon_blocks = 20\n", "latency = 30",
-                 _rows, lambda: _scenario(_PAIR, horizon_blocks=20, latency=30.0),
+                 _rows, lambda: _scenario(_PAIR, horizon_blocks=20, latency=(30.0, 30.0)),
                  id="scenario-latency"),
     pytest.param("attack", _TWO + "horizon_blocks = 20\n", "latency = 5,900",
                  _rows, lambda: _scenario(_PAIR, horizon_blocks=20, latency=(5.0, 900.0)),

@@ -94,13 +94,11 @@ def test_partition_bounds_must_be_finite():
             PartitionWindow(start, end, frozenset({"a"}))
 
 
-def test_scalar_latency_is_stored_as_a_pair():
-    sc = SimScenario(seed=0, miners=(MinerSpec("a", 1.0),), horizon_blocks=5,
-                     latency=5)
-    assert sc.latency == (5.0, 5.0)
-    with pytest.raises(ConfigurationError, match="latency"):
-        SimScenario(seed=0, miners=(MinerSpec("a", 1.0),), horizon_blocks=5,
-                    latency=-1)
+def test_latency_range_must_be_ordered_and_nonnegative():
+    for latency in ((-1.0, -1.0), (-1.0, 5.0), (5.0, 1.0)):
+        with pytest.raises(ConfigurationError, match="latency"):
+            SimScenario(seed=0, miners=(MinerSpec("a", 1.0),), horizon_blocks=5,
+                        latency=latency)
 
 
 def test_horizon_required():

@@ -7,7 +7,6 @@ import pytest
 from opow.heavyhash import generate_matrix, identity_matrix, weighting
 from opow.photonic import (
     MAX_SAMPLES,
-    CouplerNode,
     DecompositionError,
     MeshConfiguration,
     NoiseModel,
@@ -16,7 +15,6 @@ from opow.photonic import (
     clements_decompose,
     encode_nibbles,
     fidelity_sweep,
-    layer_pair_starts,
     mesh_unitary,
     propagate,
     svd_synthesize,
@@ -83,22 +81,33 @@ def test_encode_nibbles_examples():
 # -- couplers and meshes -----------------------------------------------------------
 
 
-def coupler_unitary(node: CouplerNode) -> np.ndarray:
+def coupler_unitary(theta: float, phi: float) -> np.ndarray:
     """The library's 2x2 transfer matrix of one node: a two-mode mesh with
     the node in layer 0 and an empty layer 1."""
-    return mesh_unitary(MeshConfiguration(n=2, layers=((node,), ()),
+    return mesh_unitary(MeshConfiguration(theta=[[theta], [0.0]], phi=[[phi], [0.0]],
                                           output_phases=np.zeros(2)))
 
 
 def identity_configuration(n: int) -> MeshConfiguration:
-    layers = tuple(tuple(CouplerNode(0.0, 0.0) for _ in layer_pair_starts(n, idx))
-                   for idx in range(n))
-    return MeshConfiguration(n=n, layers=layers, output_phases=np.zeros(n))
+    return MeshConfiguration(theta=np.zeros((n, n // 2)), phi=np.zeros((n, n // 2)),
+                             output_phases=np.zeros(n))
+
+
+def random_configuration(n: int, rng) -> MeshConfiguration:
+    """Uniform node angles, drawn node by node (theta, then phi) through the
+    brick layers, then uniform output phases."""
+    theta, phi = np.zeros((2, n, n // 2))
+    for idx in range(n):
+        for j in range((n - idx % 2) // 2):
+            theta[idx, j] = rng.uniform(0, math.pi / 2)
+            phi[idx, j] = rng.uniform(0, 2 * math.pi)
+    return MeshConfiguration(theta=theta, phi=phi,
+                             output_phases=rng.uniform(0, 2 * math.pi, n))
 
 
 def test_coupler_examples():
-    assert np.allclose(coupler_unitary(CouplerNode(0.0, 0.0)), np.eye(2))
-    half = coupler_unitary(CouplerNode(math.pi / 4, 0.0))
+    assert np.allclose(coupler_unitary(0.0, 0.0), np.eye(2))
+    half = coupler_unitary(math.pi / 4, 0.0)
     expect = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
     assert np.allclose(half, expect)
 
@@ -106,36 +115,55 @@ def test_coupler_examples():
 def test_coupler_always_unitary():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        node = CouplerNode(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
-        u = coupler_unitary(node)
+        theta, phi = rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi)
+        u = coupler_unitary(theta, phi)
         assert unitarity_residual(u) < 1e-12
-        assert np.max(np.abs(u - ref_coupler(node.theta, node.phi))) < 1e-12
+        assert np.max(np.abs(u - ref_coupler(theta, phi))) < 1e-12
 
 
 def test_coupler_node_validation():
-    with pytest.raises(ValueError):
-        CouplerNode(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        CouplerNode(0.0, 2 * math.pi)
+    # One bad node anywhere in the mesh refuses the configuration.
+    for theta, phi in ((-0.1, 0.0), (math.pi / 2 + 1e-12, 0.0), (0.0, 2 * math.pi),
+                       (0.0, -1e-300), (math.nan, 0.0), (0.0, math.nan)):
+        angles = np.zeros((2, 5, 2))
+        angles[:, 3, 1] = theta, phi
+        with pytest.raises(ValueError, match="theta must be|phi must be"):
+            MeshConfiguration(*angles, output_phases=np.zeros(5))
+
+
+def test_even_mesh_slot_without_a_pair_must_be_zero():
+    # For even n an odd layer has n/2 - 1 pairs; propagate never reads its
+    # last column, so a value there is refused rather than ignored.
+    for which in (0, 1):
+        angles = np.zeros((2, 4, 2))
+        angles[which, 1, 1] = 0.5
+        with pytest.raises(ValueError, match="no last node"):
+            MeshConfiguration(*angles, output_phases=np.zeros(4))
+    angles = np.zeros((2, 4, 2))
+    angles[:, 0, 1] = angles[:, 2, 1] = 0.5  # even layers use that column
+    MeshConfiguration(*angles, output_phases=np.zeros(4))
+
+
+def test_mesh_configuration_arrays_are_read_only():
+    theta = np.zeros((4, 2))
+    cfg = MeshConfiguration(theta=theta, phi=np.zeros((4, 2)), output_phases=np.zeros(4))
+    theta[0, 0] = 1.0  # the configuration holds its own copy
+    assert cfg.n == 4 and cfg.theta[0, 0] == 0.0
+    for arr in (cfg.theta, cfg.phi, cfg.output_phases):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_identity_configuration_is_identity():
     cfg = identity_configuration(16)
-    assert len(cfg.layers) == 16
-    assert sum(len(layer) for layer in cfg.layers) == 16 * 15 // 2
+    assert cfg.n == 16 and cfg.theta.shape == cfg.phi.shape == (16, 8)
     assert np.allclose(mesh_unitary(cfg), np.eye(16))
 
 
 def test_mesh_unitarity_and_power_conservation():
     rng = np.random.default_rng(2)
     for n in (2, 5, 16):
-        layers = tuple(
-            tuple(CouplerNode(rng.uniform(0, math.pi / 2),
-                              rng.uniform(0, 2 * math.pi))
-                  for _ in layer_pair_starts(n, idx))
-            for idx in range(n))
-        cfg = MeshConfiguration(n=n, layers=layers,
-                                output_phases=rng.uniform(0, 2 * math.pi, n))
+        cfg = random_configuration(n, rng)
         u = mesh_unitary(cfg)
         assert unitarity_residual(u) < 1e-10
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -145,8 +173,16 @@ def test_mesh_unitarity_and_power_conservation():
 
 
 def test_mesh_configuration_shape_validation():
-    with pytest.raises(ValueError):
-        MeshConfiguration(n=4, layers=((),), output_phases=np.zeros(4))
+    with pytest.raises(ValueError, match="shape"):
+        MeshConfiguration(theta=np.zeros((1, 2)), phi=np.zeros((1, 2)),
+                          output_phases=np.zeros(4))
+    with pytest.raises(ValueError, match="shape"):
+        MeshConfiguration(theta=np.zeros((4, 2)), phi=np.zeros((4, 1)),
+                          output_phases=np.zeros(4))
+    for phases in (np.zeros(0), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="one entry per mode"):
+            MeshConfiguration(theta=np.zeros((4, 2)), phi=np.zeros((4, 2)),
+                              output_phases=phases)
 
 
 # -- decomposition ------------------------------------------------------------------
@@ -154,8 +190,7 @@ def test_mesh_configuration_shape_validation():
 
 def test_decompose_identity_convention():
     cfg = clements_decompose(np.eye(8))
-    assert all(node.theta == 0.0 and node.phi == 0.0
-               for layer in cfg.layers for node in layer)
+    assert not cfg.theta.any() and not cfg.phi.any()
     assert np.allclose(cfg.output_phases, 0.0)
 
 
@@ -164,7 +199,7 @@ def test_decompose_roundtrip_sizes():
     for n in (2, 3, 5, 8, 16, 17, 1):
         u = haar_unitary(n, rng)
         cfg = clements_decompose(u)
-        assert len(cfg.layers) == n
+        assert cfg.n == n and cfg.theta.shape == (n, n // 2)
         assert np.max(np.abs(mesh_unitary(cfg) - u)) < 1e-8
 
 
@@ -181,13 +216,11 @@ def test_decompose_recovers_embedded_splitter():
     u = np.eye(n, dtype=complex)
     u[2:4, 2:4] = ref_coupler(math.pi / 4, 0.0)
     cfg = clements_decompose(u)
-    hot = [(idx, int(start), node.theta)
-           for idx, layer in enumerate(cfg.layers)
-           for start, node in zip(layer_pair_starts(n, idx), layer)
-           if abs(node.theta) > 1e-9]
+    hot = np.argwhere(np.abs(cfg.theta) > 1e-9)
     assert len(hot) == 1
-    _, start, theta = hot[0]
-    assert start == 2 and theta == pytest.approx(math.pi / 4)
+    layer, column = hot[0]
+    assert layer % 2 + 2 * column == 2  # the node on modes (2, 3)
+    assert cfg.theta[layer, column] == pytest.approx(math.pi / 4)
     assert np.max(np.abs(mesh_unitary(cfg) - u)) < 1e-10
 
 
@@ -202,14 +235,7 @@ def test_decompose_roundtrips_mesh_configurations():
     # i.e. the configuration round-trips up to phase convention.
     rng = np.random.default_rng(12)
     for n in (3, 8, 16):
-        layers = tuple(
-            tuple(CouplerNode(rng.uniform(0, math.pi / 2),
-                              rng.uniform(0, 2 * math.pi))
-                  for _ in layer_pair_starts(n, idx))
-            for idx in range(n))
-        cfg = MeshConfiguration(n=n, layers=layers,
-                                output_phases=rng.uniform(0, 2 * math.pi, n))
-        u = mesh_unitary(cfg)
+        u = mesh_unitary(random_configuration(n, rng))
         again = mesh_unitary(clements_decompose(u))
         assert np.max(np.abs(again - u)) < 1e-8
 
@@ -335,6 +361,18 @@ def test_propagate_bits_match_reference(syntheses, dim, batch, sigma, seed):
         expected = ref_propagate(config, fields, np.random.default_rng(seed), sigma)
         got = propagate(config, fields, np.random.default_rng(seed), sigma)
         assert np.array_equal(got, expected)
+
+
+def test_propagate_bits_match_reference_on_small_meshes():
+    # At n = 1 and in n = 2's odd layer a layer has no pair, and draws nothing.
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4):
+        cfg = random_configuration(n, rng)
+        fields = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+        for sigma in (0.0, 0.1):
+            got = propagate(cfg, fields, np.random.default_rng(n), sigma)
+            assert np.array_equal(got, ref_propagate(cfg, fields,
+                                                     np.random.default_rng(n), sigma))
 
 
 @pytest.mark.parametrize("dim, batch, sigma, seed", _BIT_CASES)
