@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Optional
 
-from .heavyhash import WeightMatrix, generate_matrix
+from .heavyhash import DERIVE_CHUNK, WeightMatrix, generate_matrices, generate_matrix
 from .pow import (
     BlockHeader,
     CompactTargetError,
@@ -153,7 +153,8 @@ class ChainIndex:
         self._entries: dict[bytes, _Entry] = {}
         self._orphans: dict[bytes, dict[bytes, Block]] = {}  # parent -> {id: orphan}
         self._rejected: dict[bytes, None] = {}  # FIFO of REJECTED_MEMORY ids
-        self._matrix: Optional[WeightMatrix] = None  # the last one derived
+        # Matrices by parent id: the last one derived, or an import batch's.
+        self._matrices: dict[bytes, WeightMatrix] = {}
         self._spenders: dict[int, list[bytes]] = {}  # spend id -> carrier ids
         # Genesis is the trust anchor: stored as-is, never PoW-validated.
         gh = block_id(genesis)
@@ -175,9 +176,18 @@ class ChainIndex:
         return self._entries[self.tip]
 
     def matrix_for(self, parent_hash: bytes) -> WeightMatrix:
-        if self._matrix is None or self._matrix.seed != parent_hash:
-            self._matrix = generate_matrix(parent_hash)
-        return self._matrix
+        matrix = self._matrices.get(parent_hash)
+        if matrix is None:
+            matrix = generate_matrix(parent_hash)
+            self._matrices = {parent_hash: matrix}
+        return matrix
+
+    def _hold_matrices(self, parent_ids: list[bytes]) -> None:
+        """Hold the matrices of these parents and no others, deriving the
+        ones not held yet in one batch."""
+        kept = {h: self._matrices[h] for h in parent_ids if h in self._matrices}
+        fresh = list(dict.fromkeys(h for h in parent_ids if h not in kept))
+        self._matrices = kept | dict(zip(fresh, generate_matrices(fresh)))
 
     def ancestors(self, block_hash: bytes) -> Iterator[_Entry]:
         """Entries from the given block back to genesis, inclusive."""
@@ -434,8 +444,14 @@ def import_chain(fp: BinaryIO) -> ChainIndex:
     if not blocks:
         raise ValueError("empty chain stream")
     index = ChainIndex(blocks[0])
-    for block in blocks[1:]:
-        report = index.add_block(block)
-        if report.verdict is not Verdict.VALID:
-            raise ValueError(f"invalid block in stream: {report.verdict.value}")
+    for start in range(1, len(blocks), DERIVE_CHUNK):
+        batch = blocks[start:start + DERIVE_CHUNK]
+        # One stacked derivation per batch.  A side block next to its
+        # sibling may fall in the next batch: the parent's matrix is kept,
+        # not derived again.
+        index._hold_matrices([b.header.parent_hash for b in batch])
+        for block in batch:
+            report = index.add_block(block)
+            if report.verdict is not Verdict.VALID:
+                raise ValueError(f"invalid block in stream: {report.verdict.value}")
     return index

@@ -320,9 +320,12 @@ def _attack(args, cfg: dict) -> list[dict]:
 # horizon_blocks and the expected horizon_seconds / mean_block_interval:
 # 10**5 blocks of two honest miners took about 1.5 s and 87 MB peak RSS.
 # Each run's record (about 2 KB without its timeline) is held until the
-# output is written: 10**4 runs of 10 blocks took 1.2 s and 55 MB.
+# output is written: 10**4 runs of 10 blocks took 1.2 s and 55 MB.  The
+# blocks of all runs are bounded too: 10 runs of 10**5 blocks and 10**3 runs
+# of 10**3 blocks each took about 5 s, so 10**7 blocks is about a minute.
 MAX_SCENARIO_BLOCKS = 10**5
 MAX_SCENARIO_RUNS = 10**4
+MAX_SCENARIO_WORK = 10**7
 
 
 def _attack_engine_mode(args, cfg: dict) -> list[dict]:
@@ -338,6 +341,9 @@ def _attack_engine_mode(args, cfg: dict) -> list[dict]:
     if blocks > MAX_SCENARIO_BLOCKS:
         raise ConfigError(f"a run may create at most {MAX_SCENARIO_BLOCKS} blocks: "
                           "lower horizon_blocks, or horizon_seconds / mean_block_interval")
+    if runs * blocks > MAX_SCENARIO_WORK:
+        raise ConfigError(f"all runs may create at most {MAX_SCENARIO_WORK} blocks, "
+                          f"got {runs * blocks:.0f}: lower runs or the horizon")
     records = []
     successes = 0
     with_attacker = base.attacker() is not None

@@ -22,10 +22,13 @@ product is at most 225 and every partial sum an integer of at most
 64 * 225 = 14400, below 2**24.  `heavyhash_many` holds the one round loop,
 over a batch of inputs; `heavyhash` is a batch of one.
 
-The xoshiro256 state update is linear over GF(2), so s0 and s3 of the next
-256 states (all the ++ output reads) and the state after them are the XOR
-of one row per nibble of the current state, from a (64 x 16 x 516)-word
-jump table built on first use; the stream is the published one.
+The xoshiro256 state update is linear over GF(2), so s0 of the next 256
+states and the state after them are the XOR of one row per nibble of the
+current state, from a (1024 x 260)-word jump table built on first use.  The
+++ output also reads s3, and the update gives it from s0 alone: s3' =
+rotl(s0' ^ s0, 45).  The stream is the published one.  `generate_matrices`
+runs the whole derivation over a stack of seeds at once; `generate_matrix`
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -68,58 +71,85 @@ _BLOCK = 256  # outputs per jump-table step: one 64x64 candidate
 _NIBBLE_SHIFTS = 4 * np.arange(16, dtype=np.uint64)
 
 
+def _rotl(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
 @functools.cache
 def _jump_table() -> np.ndarray:
-    # (64, 16, 516) uint64, 4.2 MB.  Row [p, v] holds s0 of the next _BLOCK
-    # states, then their s3, then the state after them, for the state whose
-    # only nonzero nibble is nibble p (bits 4p..4p+3 of s0|s1|s2|s3) = v.
-    # Built by running the state update on the 256 one-bit states at once.
+    # (1024, 260) uint64, 2.1 MB.  Row 16 p + v holds s0 of the next _BLOCK
+    # states, then the state after them, for the state whose only nonzero
+    # nibble is nibble p (bits 4p..4p+3 of s0|s1|s2|s3) = v.  Built by
+    # running the state update on the 256 one-bit states at once.
     bits = np.arange(256)
     s = np.zeros((4, 256), dtype=np.uint64)
     s[bits // 64, bits] = np.uint64(1) << (bits % 64).astype(np.uint64)
     s0, s1, s2, s3 = s  # views: the update runs in place
-    basis = np.empty((2 * _BLOCK + 4, 256), dtype=np.uint64)
+    basis = np.empty((_BLOCK + 4, 256), dtype=np.uint64)
     for i in range(_BLOCK):
-        basis[i], basis[_BLOCK + i] = s0, s3
+        basis[i] = s0
         t = s1 << np.uint64(17)  # the one xoshiro256 state update
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3[:] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-    basis[2 * _BLOCK:] = s
+        s3[:] = _rotl(s3, 45)
+    basis[_BLOCK:] = s
     basis = basis.T.reshape(64, 4, -1)  # nibble, bit of the nibble, word
-    table = np.zeros((64, 16, 2 * _BLOCK + 4), dtype=np.uint64)
+    table = np.zeros((64, 16, _BLOCK + 4), dtype=np.uint64)
     for v in range(1, 16):
         low = (v & -v).bit_length() - 1
         table[:, v] = table[:, v & (v - 1)] ^ basis[:, low]
+    table = table.reshape(64 * 16, -1)
     table.setflags(write=False)
     return table
 
 
-def _xoshiro_blocks(seed: bytes) -> Iterator[np.ndarray]:
-    """xoshiro256++ outputs as uint64 arrays of _BLOCK words, in order.
+_NIBBLE_ROWS = 16 * np.arange(64)  # the jump-table row of each nibble at 0
 
-    Seeded from a 32-byte digest read as four little-endian 64-bit words,
-    each conditioned through one SplitMix64 step so a zero digest (or any
-    zero word) cannot produce the forbidden all-zero state.  Per block, the
-    XOR of one jump-table row per state nibble gives s0 and s3 of the next
-    _BLOCK states and the state after them; the ++ output reads s0 and s3.
-    """
+
+def _seed_state(seed: bytes) -> list[int]:
+    # Four little-endian 64-bit words, each conditioned through one
+    # SplitMix64 step so a zero digest (or any zero word) cannot produce the
+    # forbidden all-zero state.
     s = [splitmix64(w) for w in struct.unpack("<4Q", seed)]
     if not any(s):  # only reachable for one adversarial 256-bit seed
         s[0] = 1
-    state = np.array(s, dtype=np.uint64)
+    return s
+
+
+def _xoshiro_blocks(seeds: list[bytes]) -> Iterator[np.ndarray]:
+    """xoshiro256++ outputs of each seed's stream, in order: (len(seeds),
+    _BLOCK) uint64 arrays, row i from seeds[i].
+
+    Per block, the XOR of one jump-table row per state nibble gives s0 of
+    the next _BLOCK states and the state after them; s3 follows from s0,
+    and the ++ output reads the two.
+    """
+    state = np.array([_seed_state(seed) for seed in seeds], dtype=np.uint64)
     table = _jump_table()
     while True:
-        nibbles = (state[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
-        rows = table[np.arange(64), nibbles.ravel().astype(np.intp)]
-        words = np.bitwise_xor.reduce(rows, axis=0)
-        s0, s3 = words[:_BLOCK], words[_BLOCK:2 * _BLOCK]
-        state = words[2 * _BLOCK:]
-        r = s0 + s3
-        yield ((r << np.uint64(23)) | (r >> np.uint64(41))) + s0
+        nibbles = (state[:, :, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
+        rows = nibbles.reshape(len(state), 64).astype(np.intp) + _NIBBLE_ROWS
+        words = np.bitwise_xor.reduce(table[rows], axis=1)
+        s0 = words[:, :_BLOCK]
+        s3 = np.empty_like(s0)
+        s3[:, 0] = state[:, 3]
+        s3[:, 1:] = _rotl(s0[:, 1:] ^ s0[:, :-1], 45)
+        state = words[:, _BLOCK:]
+        yield _rotl(s0 + s3, 23) + s0
+
+
+def _candidates(block: np.ndarray, dim: int) -> np.ndarray:
+    # (n, _BLOCK) words -> (n, _BLOCK * 16 // dim**2, dim, dim) uint8
+    # candidates: row-major, 16 nibbles per word, least-significant first,
+    # so the low nibble of each little-endian byte comes first.
+    b = block.astype("<u8", copy=False).view(np.uint8)
+    out = np.empty((len(b), 2 * b.shape[1]), dtype=np.uint8)
+    out[:, 0::2] = b & 0x0F
+    out[:, 1::2] = b >> 4
+    return out.reshape(len(b), -1, dim, dim)
 
 
 def _check_seed(seed: bytes) -> None:
@@ -155,12 +185,24 @@ class WeightMatrix:
         if entries.min() < 0 or entries.max() > NIBBLE_MAX:
             raise ValueError("matrix entries must be in [0, 15]")
         _check_seed(self.seed)
+        self._freeze(entries, bytes(self.seed))
+
+    @classmethod
+    def _derived(cls, entries: np.ndarray, seed: bytes) -> WeightMatrix:
+        # No re-check: the derivation hands over a (dim, dim) int64 array
+        # of its own, whose entries the nibble mask holds in [0, 15], and
+        # the bytes of a checked seed.
+        matrix = object.__new__(cls)
+        matrix._freeze(entries, seed)
+        return matrix
+
+    def _freeze(self, entries: np.ndarray, seed: bytes) -> None:
         weights_t = entries.T.astype(np.float32)
         for arr in (entries, weights_t):
             arr.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "weights_t", weights_t)
-        object.__setattr__(self, "seed", bytes(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def dim(self) -> int:
@@ -228,13 +270,9 @@ def _rump_factor(dim: int) -> float:
 _RUMP_FACTOR = {dim: _rump_factor(dim) for dim in (DEMO_DIM, MATRIX_DIM)}
 
 
-def _certified_full_rank(entries: np.ndarray) -> bool:
-    # Two one-sided certificates, each a theorem about binary64 arithmetic in
-    # any evaluation order; False is inconclusive and falls back to the exact
-    # test.  A refusal of the first goes on to the second, so a seed whose
-    # candidate the first refuses costs an inverse, not a Bareiss.
-    #
-    # First: A is full rank iff G = A.T @ A is positive definite, and G is
+def _cholesky_certifies(entries: np.ndarray) -> bool:
+    # True if every candidate of a (..., n, n) stack is certified full rank:
+    # A is full rank iff G = A.T @ A is positive definite, and G is
     # exact (its partial sums are integers of at most 64 * 225 = 14400).
     # Rump (BIT Numer. Math. 46 (2006) 433-452): if floating-point Cholesky
     # of G - s*I runs to completion, with s >= 2 g / (1 - g) * tr(G) plus an
@@ -243,21 +281,35 @@ def _certified_full_rank(entries: np.ndarray) -> bool:
     # s is the power of two above fl(factor * tr(G)): it clears the exact
     # product by over 2**-154 (tr(G) >= 1) or is 1 (tr(G) = 0), far beyond
     # the underflow term, and s >= 2**-48 * tr(G) keeps G - s*I exact.
-    a = entries.astype(np.float64)
-    gram = a.T @ a
-    n = len(gram)
-    shift = 2.0 ** math.frexp(_RUMP_FACTOR[n] * float(np.trace(gram)))[1]
-    gram.flat[::n + 1] -= shift
+    # G is computed in float32, exact as 14400 < 2**24, then widened.
+    # numpy's Cholesky raises for the whole stack if one candidate fails.
+    a = entries.astype(np.float32)
+    gram = (np.swapaxes(a, -1, -2) @ a).astype(np.float64)
+    n = gram.shape[-1]
+    trace = np.trace(gram, axis1=-2, axis2=-1)
+    shift = np.ldexp(1.0, np.frexp(_RUMP_FACTOR[n] * trace)[1])
+    gram.reshape(*gram.shape[:-2], n * n)[..., ::n + 1] -= shift[..., np.newaxis]
     try:
         np.linalg.cholesky(gram)
-        return True
     except np.linalg.LinAlgError:
-        pass
+        return False
+    return True
+
+
+def _certified_full_rank(entries: np.ndarray) -> bool:
+    # Two one-sided certificates, each a theorem about binary64 arithmetic in
+    # any evaluation order; False is inconclusive and falls back to the exact
+    # test.  A refusal of the first (the shifted Gram Cholesky) goes on to
+    # the second, so a seed whose candidate the first refuses costs an
+    # inverse, not a Bareiss.
+    if _cholesky_certifies(entries):
+        return True
     # Second: X = rint(inv(A) * 2**e) with |X| <= 2**42, so every partial sum
     # of X @ A is an integer below 2**42 * 960 < 2**52 and float64 computes
     # it exactly in any summation order.  If every row of |2**e * I - X @ A|
     # sums below 2**e, then X @ A / 2**e is within 1 of I in the infinity
     # norm, hence invertible, and so is A.
+    a = entries.astype(np.float64)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -273,24 +325,62 @@ def _certified_full_rank(entries: np.ndarray) -> bool:
     return bool(np.abs(residual).sum(axis=1).max() < (1 << e))
 
 
-def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
-    """Derive the weighting matrix for `seed`, deterministically.
+# Seeds per stacked pass of generate_matrices, and blocks per batch of
+# import_chain.  The temporaries grow with it, the (chunk, 64, 260)-word
+# jump-table gather the largest: 2.1 MB at 16, 8.5 MB at 64.  Imports of a
+# 1,060-block chain took a median 141, 130 and 124 us of CPU per block at 4,
+# 8 and 16 (21 interleaved imports each, 2-vCPU Xeon).  At 64 the memory an
+# import allocated and freed rose from 2.86 to 11.18 MiB (tracemalloc), and
+# a 10 s sync benchmark run's peak RSS from 74.7 to 87.3 MB, past its bound.
+DERIVE_CHUNK = 16
 
-    Candidates are drawn from a single xoshiro256++ stream, row-major, 16
+
+def generate_matrices(seeds: list[bytes], dim: int = MATRIX_DIM) -> list[WeightMatrix]:
+    """Derive the weighting matrix of each seed, in order, deterministically.
+
+    Candidates are drawn from each seed's xoshiro256++ stream, row-major, 16
     nibbles per 64-bit word, least-significant nibble first: one candidate
     per block at dim 64, sixteen at dim 16.  A candidate that is not full
     rank is discarded and the stream continues into the next one.
-    Rank-deficient candidates are vanishingly rare, so the loop all but
-    always exits on the first candidate.
+
+    The seeds run in chunks of `DERIVE_CHUNK`: each chunk draws its first
+    block and certifies its first candidates in one stacked pass.
+    Rank-deficient candidates are vanishingly rare, so that pass all but
+    always settles the chunk.  If the stacked Cholesky refuses, the chunk
+    runs again one candidate at a time, through every certificate, Bareiss
+    and the stream's next candidates, as a chunk of one always does.
     """
-    _check_seed(seed)
+    for seed in seeds:
+        _check_seed(seed)
     if dim not in (DEMO_DIM, MATRIX_DIM):
         raise ValueError(f"dim must be {DEMO_DIM} or {MATRIX_DIM}")
-    for block in _xoshiro_blocks(seed):
-        nibbles = (block[:, np.newaxis] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
-        for entries in nibbles.astype(np.int64).reshape(-1, dim, dim):
+    seeds = [bytes(seed) for seed in seeds]
+    out: list[WeightMatrix] = []
+    for start in range(0, len(seeds), DERIVE_CHUNK):
+        chunk = seeds[start:start + DERIVE_CHUNK]
+        if len(chunk) > 1:
+            first = _candidates(next(_xoshiro_blocks(chunk)), dim)[:, 0]
+            if _cholesky_certifies(first):
+                out += [WeightMatrix._derived(entries.astype(np.int64), seed)
+                        for entries, seed in zip(first, chunk)]
+                continue
+        out += [WeightMatrix._derived(_first_full_rank(seed, dim), seed)
+                for seed in chunk]
+    return out
+
+
+def _first_full_rank(seed: bytes, dim: int) -> np.ndarray:
+    # The seed's first full-rank candidate, one candidate at a time.
+    for block in _xoshiro_blocks([seed]):
+        for candidate in _candidates(block, dim)[0]:
+            entries = candidate.astype(np.int64)
             if _certified_full_rank(entries) or matrix_is_full_rank(entries):
-                return WeightMatrix(entries=entries, seed=bytes(seed))
+                return entries
+
+
+def generate_matrix(seed: bytes, dim: int = MATRIX_DIM) -> WeightMatrix:
+    """The weighting matrix for `seed`: `generate_matrices` of one seed."""
+    return generate_matrices([seed], dim)[0]
 
 
 def _weighting_sums(matrix: WeightMatrix, x: np.ndarray) -> np.ndarray:

@@ -340,7 +340,16 @@ class MeshSynthesis:
     attenuations: np.ndarray
     right: MeshConfiguration
     scale: float
-    dim: int
+
+    def __post_init__(self):
+        n, shape = self.left.n, np.shape(self.attenuations)
+        if self.right.n != n or shape != (n,):
+            raise ValueError(f"meshes and attenuations differ in size: left {n}, "
+                             f"attenuations {shape}, right {self.right.n}")
+
+    @property
+    def dim(self) -> int:
+        return self.left.n
 
 
 def _float_matrix(matrix) -> np.ndarray:
@@ -368,8 +377,7 @@ def svd_synthesize(matrix) -> MeshSynthesis:
     return MeshSynthesis(left=clements_decompose(u),
                          attenuations=s / scale,
                          right=clements_decompose(vt),
-                         scale=scale,
-                         dim=m.shape[0])
+                         scale=scale)
 
 
 def synthesis_residual(synth: MeshSynthesis, matrix) -> float:

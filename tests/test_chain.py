@@ -1,6 +1,8 @@
+import collections
 import functools
 import io
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from opow.chain import (
     make_genesis,
     transfers_commitment,
 )
-from opow.heavyhash import HeavyHashParams, generate_matrix, heavyhash
+from opow.heavyhash import DERIVE_CHUNK, HeavyHashParams, generate_matrix, heavyhash
 from opow.netsim import MinerSpec, SimScenario, integrated_run
 from opow.pow import (
     BlockHeader,
@@ -779,3 +781,59 @@ def test_import_rejects_tampered_stream(index):
     raw[-1] ^= 0xFF  # corrupt the last transfer byte
     with pytest.raises(ValueError):
         import_chain(io.BytesIO(bytes(raw)))
+
+
+@pytest.fixture(scope="module")
+def side_block_stream():
+    """The export of a seeded 1,000-block chain with a stale side block
+    every 50 heights, and one more whose sibling ends an import batch, so
+    the pair falls in two batches."""
+    index = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
+    tip, straddles = index.genesis_hash, 0
+    for height in range(1, 1_001):
+        main = index.mine_block(tip, (Transfer(1, 2, 10, height),), height * 600)
+        assert index.add_block(main).verdict is Verdict.VALID
+        # Stream position of `main`, genesis at 0: import batches start at 1.
+        last_of_batch = (len(index._entries) - 1) % DERIVE_CHUNK == 0
+        if height % 50 == 0 or (last_of_batch and height > 500 and not straddles):
+            straddles += last_of_batch
+            side = index.mine_block(tip, (Transfer(3, 4, 10, 10**6 + height),),
+                                    height * 600 + 1)
+            assert index.add_block(side).verdict is Verdict.VALID
+        tip = block_id(main)
+    assert straddles and index.tip == tip
+    buf = io.BytesIO()
+    index.export_stream(buf)
+    return buf.getvalue(), tip
+
+
+def test_import_derives_one_matrix_per_distinct_parent(side_block_stream, monkeypatch):
+    stream, tip = side_block_stream
+    derived = []
+    for name in ("generate_matrix", "generate_matrices"):
+        def counted(seeds, *args, _name=name, _original=getattr(chain_module, name)):
+            derived.extend([seeds] if _name == "generate_matrix" else seeds)
+            return _original(seeds, *args)
+        monkeypatch.setattr(chain_module, name, counted)
+    index = import_chain(io.BytesIO(stream))
+    assert index.tip == tip
+    parents = {e.block.header.parent_hash for e in index._entries.values()
+               if e.height > 0}
+    assert len(index._entries) > 1_020
+    assert collections.Counter(derived) == collections.Counter(parents)
+
+
+def test_import_working_memory_is_bounded(side_block_stream):
+    # Beyond what the index keeps, an import allocates and frees the
+    # temporaries of one batch: 2.3 MiB in 16-block batches, mostly the
+    # (16, 64, 260)-word jump-table gather; 64-block batches took 8.4 MiB.
+    stream, tip = side_block_stream
+    generate_matrix(bytes(32))  # the jump table is built once, on first use
+    tracemalloc.start()
+    try:
+        index = import_chain(io.BytesIO(stream))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.tip == tip
+    assert peak - kept < 4 * 2**20

@@ -485,6 +485,22 @@ def test_oversized_runs_exit_2(tmp_path, capsys, command, cfg, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("cfg, blocks", [
+    ("runs = 10000\nhorizon_blocks = 100000\n", "1000000000"),
+    ("runs = 101\nhorizon_blocks = 100000\n", "10100000"),
+    ("runs = 10000\nmean_block_interval = 1\nhorizon_seconds = 2000\n", "20000000"),
+], ids=["both-bounds", "just-over", "horizon_seconds"])
+def test_engine_work_is_bounded_over_all_runs(tmp_path, capsys, cfg, blocks):
+    # Each bound alone holds (10**4 runs, 10**5 blocks a run); together they
+    # would ask for 10**9 engine blocks, hours of work before any output.
+    code, out = run(tmp_path, "attack", "miners = a:0.5, b:0.5\n" + cfg)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: all runs may create at most 10000000 blocks, got {blocks}: "
+        "lower runs or the horizon\n")
+
+
 def test_engine_block_bound_takes_the_smaller_horizon(tmp_path):
     # Each horizon may pass the bound when the other one binds first.
     for horizons in ("horizon_blocks = 100001\nhorizon_seconds = 10\n",

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from opow.heavyhash import (
     _BLOCK,
+    DERIVE_CHUNK,
     _HASH_BLOCK,
     HeavyHashParams,
     ParameterError,
@@ -19,6 +22,7 @@ from opow.heavyhash import (
     _weight_digests,
     _xoshiro_blocks,
     accumulator_max,
+    generate_matrices,
     generate_matrix,
     heavyhash,
     heavyhash_many,
@@ -32,6 +36,7 @@ from reference_oracles import (
     ref_matrix,
     ref_nibbles,
     ref_rank_is_full,
+    ref_splitmix64,
     ref_weighting,
     ref_xoshiro_words,
 )
@@ -104,9 +109,9 @@ def test_nibble_validation():
 
 def _xoshiro_words(seed: bytes, blocks: int) -> list[int]:
     # The first `blocks` blocks of the stream, concatenated across their edges.
-    drawn = list(itertools.islice(_xoshiro_blocks(seed), blocks))
-    assert all(b.dtype == np.uint64 and b.shape == (_BLOCK,) for b in drawn)
-    return [v for b in drawn for v in b.tolist()]
+    drawn = list(itertools.islice(_xoshiro_blocks([seed]), blocks))
+    assert all(b.dtype == np.uint64 and b.shape == (1, _BLOCK) for b in drawn)
+    return [v for b in drawn for v in b[0].tolist()]
 
 
 def test_xoshiro_matches_reference():
@@ -236,7 +241,7 @@ def test_first_candidate_full_rank_rate(monkeypatch):
     full = bareiss = 0
     n = 10_000
     for _ in range(n):
-        block = next(_xoshiro_blocks(rng.randbytes(32)))
+        block = next(_xoshiro_blocks([rng.randbytes(32)]))[0]
         entries = ((block[:, np.newaxis] >> shifts) & np.uint64(0xF)).astype(
             np.int64).reshape(64, 64)
         if _certified_full_rank(entries):
@@ -308,6 +313,116 @@ def test_generated_matrix_is_full_rank():
     for _ in range(5):
         m = generate_matrix(rng.randbytes(32))
         assert matrix_is_full_rank(m.entries)
+
+
+# -- batch derivation ----------------------------------------------------------
+
+# The first candidate of this seed is the one of 10**4 that the shifted Gram
+# Cholesky refuses (test_candidate_the_cholesky_step_refuses_goes_to_the_inverse).
+_CHOLESKY_REFUSED = bytes.fromhex(
+    "33dc1276e60c683e1dcfcbe2c1ac4fafd10cb0f88021096eb88d5c122b7b8338")
+_M64 = (1 << 64) - 1
+
+
+def _unxorshift(y: int, k: int) -> int:
+    # Inverse of x -> x ^ (x >> k) on 64-bit words.
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def inverse_splitmix64(y: int) -> int:
+    """The word that ref_splitmix64 maps to y: each of its steps undone."""
+    x = _unxorshift(y, 31)
+    x = (x * pow(0x94D049BB133111EB, -1, 1 << 64)) & _M64
+    x = _unxorshift(x, 27)
+    x = (x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _M64
+    x = _unxorshift(x, 30)
+    return (x - 0x9E3779B97F4A7C15) & _M64
+
+
+def test_inverse_splitmix64_inverts_the_reference():
+    rng = random.Random(21)
+    for y in [0, 1, _M64] + [rng.getrandbits(64) for _ in range(200)]:
+        assert ref_splitmix64(inverse_splitmix64(y)) == y
+
+
+# The one seed whose four SplitMix64 words are all zero: the forbidden
+# all-zero xoshiro state, which the seeding replaces by s0 = 1.
+_ZERO_STATE_SEED = struct.pack("<4Q", *[inverse_splitmix64(0)] * 4)
+
+
+def test_seed_with_an_all_zero_splitmix_state_follows_the_reference():
+    assert _xoshiro_words(_ZERO_STATE_SEED, 2) == ref_xoshiro_words(
+        _ZERO_STATE_SEED, 2 * _BLOCK)
+    for dim in (16, 64):
+        expected = _ref_entries(_ZERO_STATE_SEED, dim)
+        assert generate_matrix(_ZERO_STATE_SEED, dim).entries.tolist() == expected
+        batch = generate_matrices([bytes(32), _ZERO_STATE_SEED], dim)
+        assert batch[1].entries.tolist() == expected
+
+
+@functools.cache
+def _ref_entries(seed: bytes, dim: int) -> list:
+    return ref_matrix(seed, dim=dim)
+
+
+# Seeds the batches draw from, repeats allowed; ref_matrix takes about 0.5 s
+# a seed at dim 64, so that pool is small.
+_BATCH_POOL = {
+    16: [bytes(32), _ZERO_STATE_SEED, _CHOLESKY_REFUSED]
+        + [random.Random(i).randbytes(32) for i in range(5)],
+    64: [bytes(32), _ZERO_STATE_SEED, _CHOLESKY_REFUSED,
+         random.Random(0).randbytes(32)],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 64]).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.sampled_from(_BATCH_POOL[dim]), max_size=2 * DERIVE_CHUNK + 3))))
+def test_generate_matrices_is_generate_matrix_of_each_seed(case):
+    dim, seeds = case
+    batch = generate_matrices(seeds, dim)
+    assert [m.seed for m in batch] == seeds
+    for matrix, seed in zip(batch, seeds):
+        assert matrix.dim == dim
+        assert (matrix.entries.tolist() == generate_matrix(seed, dim).entries.tolist()
+                == _ref_entries(seed, dim))
+
+
+def test_refused_chunk_runs_again_one_candidate_at_a_time(monkeypatch):
+    # The stacked Cholesky passes a chunk without the per-candidate steps; a
+    # chunk holding the refused candidate runs them once a seed, and so
+    # costs the one inverse (and no Bareiss) that the seed costs alone.  The
+    # next chunk is stacked again.
+    import opow.heavyhash as hh
+
+    seeds = [random.Random(i).randbytes(32) for i in range(DERIVE_CHUNK)]
+    per_candidate = _count_calls(monkeypatch, hh, "_certified_full_rank")
+    inverses = _count_calls(monkeypatch, np.linalg, "inv")
+    bareiss = _count_calls(monkeypatch, hh, "matrix_is_full_rank")
+    clean = generate_matrices(seeds)
+    assert (len(per_candidate), len(inverses), len(bareiss)) == (0, 0, 0)
+    seeds[5] = _CHOLESKY_REFUSED
+    refused = generate_matrices(seeds + seeds[:2])
+    assert (len(per_candidate), len(inverses), len(bareiss)) == (DERIVE_CHUNK, 1, 0)
+    assert refused[5].entries.tolist() == _ref_entries(_CHOLESKY_REFUSED, 64)
+    for i in (0, 1, 2, DERIVE_CHUNK - 1):
+        assert refused[i].entries.tolist() == clean[i].entries.tolist()
+
+
+def test_derived_matrix_is_the_checked_constructor_s():
+    # generate_matrices skips the constructor's checks, not its freezing.
+    for matrix in generate_matrices([bytes(32), b"\x01" * 32]) + [
+            generate_matrix(bytes(32), 16)]:
+        checked = WeightMatrix(entries=matrix.entries.copy(), seed=matrix.seed)
+        for name in ("entries", "weights_t"):
+            derived, built = getattr(matrix, name), getattr(checked, name)
+            assert derived.dtype == built.dtype and (derived == built).all()
+            assert not derived.flags.writeable
+        assert type(matrix.seed) is bytes and matrix.dim == checked.dim
 
 
 # -- weighting ---------------------------------------------------------------

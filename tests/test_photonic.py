@@ -9,6 +9,7 @@ from opow.photonic import (
     MAX_SAMPLES,
     DecompositionError,
     MeshConfiguration,
+    MeshSynthesis,
     NoiseModel,
     NumericError,
     analog_weighting_batch,
@@ -272,6 +273,22 @@ def test_synthesize_demo_dimension():
     synth = svd_synthesize(demo)
     assert synth.dim == 16
     assert synthesis_residual(synth, demo) < 1e-8
+
+
+def test_synthesis_refuses_meshes_of_two_sizes():
+    # The dim is the meshes', so they and the attenuators must agree: a
+    # dim-16 left mesh with a dim-64 right one fails here, not in propagate.
+    small = svd_synthesize(generate_matrix(b"\x01" * 32, dim=16))
+    large = svd_synthesize(generate_matrix(b"\x01" * 32, dim=64))
+    with pytest.raises(ValueError, match="differ in size"):
+        MeshSynthesis(left=small.left, attenuations=small.attenuations,
+                      right=large.right, scale=small.scale)
+    with pytest.raises(ValueError, match="differ in size"):
+        MeshSynthesis(left=small.left, attenuations=large.attenuations,
+                      right=small.right, scale=small.scale)
+    same = MeshSynthesis(left=small.left, attenuations=small.attenuations,
+                         right=small.right, scale=small.scale)
+    assert same.dim == small.dim == 16
 
 
 # -- analog weighting ----------------------------------------------------------------
