@@ -140,9 +140,7 @@ class _Entry:
 class AddReport:
     verdict: Verdict
     block_hash: bytes
-    tip_changed: bool = False
     reorg_depth: int = 0
-    new_tip: bytes = b""
     accepted_orphans: tuple[bytes, ...] = ()
 
 
@@ -278,19 +276,19 @@ class ChainIndex:
         bh = block_id(block)
         header = block.header
         if header.payload_commitment != transfers_commitment(block.transfers):
-            return AddReport(Verdict.BAD_COMMITMENT, bh, new_tip=self.tip)
+            return AddReport(Verdict.BAD_COMMITMENT, bh)
         if bh in self._entries:
-            return AddReport(Verdict.VALID, bh, new_tip=self.tip)
+            return AddReport(Verdict.VALID, bh)
 
         parent = self._entries.get(header.parent_hash)
         if parent is None:
-            return AddReport(self._pool(block, bh), bh, new_tip=self.tip)
+            return AddReport(self._pool(block, bh), bh)
         verdict = (self._check_header(header, parent)
                    or self._check_pow(header)
                    or self._check_spends(block, parent))
         if verdict is not None:
             self._discard_pooled(bh)
-            return AddReport(verdict, bh, new_tip=self.tip)
+            return AddReport(verdict, bh)
 
         old_tip = self.tip
         self._insert(block, bh)
@@ -302,8 +300,7 @@ class ChainIndex:
         if tip_changed:
             ca = self._common_ancestor(old_tip, self.tip)
             reorg_depth = self._entries[old_tip].height - ca.height
-        return AddReport(Verdict.VALID, bh, tip_changed, reorg_depth,
-                         self.tip, tuple(accepted[1:]))
+        return AddReport(Verdict.VALID, bh, reorg_depth, tuple(accepted[1:]))
 
     def _pool(self, block: Block, bh: bytes) -> Verdict:
         """Pool an orphan that passes its own PoW; the verdict to report."""

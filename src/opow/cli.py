@@ -112,16 +112,10 @@ def _write_output(path: str, write: Callable) -> None:
 
 
 def _heavyhash(args) -> int:
-    try:
-        data = bytes.fromhex(args.input_hex)
-        seed = bytes.fromhex(args.matrix_seed)
-    except ValueError as exc:
-        raise ConfigError(f"invalid hex: {exc}") from exc
-    if len(seed) != DIGEST_SIZE:
-        raise ConfigError("matrix seed must be 32 bytes of hex")
+    seed = as_hex(DIGEST_SIZE)(args.matrix_seed)
     matrix = identity_matrix() if args.identity else generate_matrix(seed)
     params = HeavyHashParams(rounds=args.rounds)
-    digest = heavyhash(params, matrix, data)
+    digest = heavyhash(params, matrix, as_hex()(args.input_hex))
     _write_output(args.output, lambda fp: fp.write(digest.hex() + "\n"))
     return EXIT_OK
 
@@ -412,9 +406,18 @@ _ECON_SCHEMA = {
 }
 
 
+_FLEET_KEYS = ("hashrates", "capex_rates", "opex_rates")
+# Per mode: the keys it reads beside mode, reward_value and block_interval,
+# and the keys of its synthetic fleets, which a custom fleet replaces.
+_ECON_MODES = {
+    "resilience": (("multipliers",), ("opex_shares", "n_cohorts")),
+    "attack-cost": (("duration_days", "hardware_price_multiple"), ("capex_shares",)),
+    "calibrated-drop": (("multipliers", "n_cohorts"), ()),
+}
+
+
 def _custom_fleet(cfg: dict):
-    keys = ("hashrates", "capex_rates", "opex_rates")
-    present = [k for k in keys if k in cfg]
+    present = [k for k in _FLEET_KEYS if k in cfg]
     if not present:
         return None
     if len(present) != 3:
@@ -425,6 +428,15 @@ def _custom_fleet(cfg: dict):
 
 def _econ(args, cfg: dict) -> list[dict]:
     mode = cfg.get("mode", "resilience")
+    if mode not in _ECON_MODES:
+        raise ConfigError(f"unknown econ mode {mode!r}")
+    reads, fleet_keys = _ECON_MODES[mode]
+    if fleet_keys and any(k in cfg for k in _FLEET_KEYS):
+        fleet_keys = _FLEET_KEYS
+    unused = [k for k in cfg if k not in
+              ("mode", "reward_value", "block_interval") + reads + fleet_keys]
+    if unused:
+        raise ConfigError(f"econ mode {mode!r} does not read {', '.join(unused)}")
     market = econ.MarketState(reward_value=cfg.get("reward_value", 100_000.0),
                               block_interval=cfg.get("block_interval", 600.0))
     n_cohorts = given(cfg, "n_cohorts")
@@ -458,13 +470,11 @@ def _econ(args, cfg: dict) -> list[dict]:
                             "capex": cost.capex, "opex": cost.opex,
                             "total": cost.total})
         return records
-    if mode == "calibrated-drop":
-        fleet = econ.bitcoin_like_fleet(market, **n_cohorts)
-        return [{"record": "calibrated_drop", "multiplier": mult,
-                 "active_fraction": frac, "drop": 1.0 - frac}
-                for mult, frac in econ.resilience_curve(
-                    fleet, market, cfg.get("multipliers", [1.0, 0.55]))]
-    raise ConfigError(f"unknown econ mode {mode!r}")
+    fleet = econ.bitcoin_like_fleet(market, **n_cohorts)  # calibrated-drop
+    return [{"record": "calibrated_drop", "multiplier": mult,
+             "active_fraction": frac, "drop": 1.0 - frac}
+            for mult, frac in econ.resilience_curve(
+                fleet, market, cfg.get("multipliers", [1.0, 0.55]))]
 
 
 # name -> (help text, config schema, handler)

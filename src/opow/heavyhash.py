@@ -26,9 +26,9 @@ The xoshiro256 state update is linear over GF(2), so s0 of the next 256
 states and the state after them are the XOR of one row per nibble of the
 current state, from a (1024 x 260)-word jump table built on first use.  The
 ++ output also reads s3, and the update gives it from s0 alone: s3' =
-rotl(s0' ^ s0, 45).  The stream is the published one.  `generate_matrices`
-runs the whole derivation over a stack of seeds at once; `generate_matrix`
-is a batch of one.
+rotl(s0' ^ s0, 45).  The stream is the published one.  Every derivation is
+one stacked pass of `generate_matrices`: a single seed is a stack of one,
+and chain import hands over 16 parents at a time.
 """
 
 from __future__ import annotations
@@ -170,10 +170,9 @@ class HeavyHashParams:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Full-rank matrix of 4-bit entries plus the seed it was derived from."""
+    """Full-rank matrix of 4-bit entries."""
 
     entries: np.ndarray  # (dim, dim) int64, values in [0, 15]
-    seed: bytes
     weights_t: np.ndarray = field(init=False, repr=False)  # entries.T, float32
 
     def __post_init__(self):
@@ -184,25 +183,22 @@ class WeightMatrix:
             raise ValueError(f"matrix dimension must be {DEMO_DIM} or {MATRIX_DIM}")
         if entries.min() < 0 or entries.max() > NIBBLE_MAX:
             raise ValueError("matrix entries must be in [0, 15]")
-        _check_seed(self.seed)
-        self._freeze(entries, bytes(self.seed))
+        self._freeze(entries)
 
     @classmethod
-    def _derived(cls, entries: np.ndarray, seed: bytes) -> WeightMatrix:
+    def _derived(cls, entries: np.ndarray) -> WeightMatrix:
         # No re-check: the derivation hands over a (dim, dim) int64 array
-        # of its own, whose entries the nibble mask holds in [0, 15], and
-        # the bytes of a checked seed.
+        # of its own, whose entries the nibble mask holds in [0, 15].
         matrix = object.__new__(cls)
-        matrix._freeze(entries, seed)
+        matrix._freeze(entries)
         return matrix
 
-    def _freeze(self, entries: np.ndarray, seed: bytes) -> None:
+    def _freeze(self, entries: np.ndarray) -> None:
         weights_t = entries.T.astype(np.float32)
         for arr in (entries, weights_t):
             arr.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "weights_t", weights_t)
-        object.__setattr__(self, "seed", seed)
 
     @property
     def dim(self) -> int:
@@ -211,8 +207,7 @@ class WeightMatrix:
 
 def identity_matrix() -> WeightMatrix:
     """Identity weighting; heavyhash degenerates to double SHA-256."""
-    return WeightMatrix(entries=np.eye(MATRIX_DIM, dtype=np.int64),
-                        seed=bytes(DIGEST_SIZE))
+    return WeightMatrix(entries=np.eye(MATRIX_DIM, dtype=np.int64))
 
 
 def _split_nibbles(raw: bytes) -> np.ndarray:
@@ -343,29 +338,25 @@ def generate_matrices(seeds: list[bytes], dim: int = MATRIX_DIM) -> list[WeightM
     per block at dim 64, sixteen at dim 16.  A candidate that is not full
     rank is discarded and the stream continues into the next one.
 
-    The seeds run in chunks of `DERIVE_CHUNK`: each chunk draws its first
-    block and certifies its first candidates in one stacked pass.
-    Rank-deficient candidates are vanishingly rare, so that pass all but
-    always settles the chunk.  If the stacked Cholesky refuses, the chunk
-    runs again one candidate at a time, through every certificate, Bareiss
-    and the stream's next candidates, as a chunk of one always does.
+    Every derivation is one stacked pass over a chunk of up to `DERIVE_CHUNK`
+    seeds: a single seed is a stack of one, and chain import hands over 16
+    parents at a time.  The pass draws each seed's first block and certifies
+    the first candidates in one Cholesky, which all but always settles the
+    chunk; if it refuses, the chunk runs again one candidate at a time,
+    through every certificate, Bareiss and the stream's next candidates.
     """
     for seed in seeds:
         _check_seed(seed)
     if dim not in (DEMO_DIM, MATRIX_DIM):
         raise ValueError(f"dim must be {DEMO_DIM} or {MATRIX_DIM}")
-    seeds = [bytes(seed) for seed in seeds]
     out: list[WeightMatrix] = []
     for start in range(0, len(seeds), DERIVE_CHUNK):
         chunk = seeds[start:start + DERIVE_CHUNK]
-        if len(chunk) > 1:
-            first = _candidates(next(_xoshiro_blocks(chunk)), dim)[:, 0]
-            if _cholesky_certifies(first):
-                out += [WeightMatrix._derived(entries.astype(np.int64), seed)
-                        for entries, seed in zip(first, chunk)]
-                continue
-        out += [WeightMatrix._derived(_first_full_rank(seed, dim), seed)
-                for seed in chunk]
+        first = _candidates(next(_xoshiro_blocks(chunk)), dim)[:, 0]
+        if _cholesky_certifies(first):
+            out += [WeightMatrix._derived(e.astype(np.int64)) for e in first]
+        else:
+            out += [WeightMatrix._derived(_first_full_rank(s, dim)) for s in chunk]
     return out
 
 

@@ -397,7 +397,6 @@ def test_equal_work_keeps_first_seen(index):
     rb = index.add_block(b)
     assert ra.verdict is rb.verdict is Verdict.VALID
     assert index.tip == ra.block_hash
-    assert not rb.tip_changed
 
 
 def test_side_chain_overtake_reports_reorg_depth_one(index):
@@ -408,7 +407,7 @@ def test_side_chain_overtake_reports_reorg_depth_one(index):
     index.add_block(b)
     b2 = index.mine_block(block_id(b), (), timestamp=2600)
     report = index.add_block(b2)
-    assert report.tip_changed and report.reorg_depth == 1
+    assert report.reorg_depth == 1
     assert index.tip == block_id(b2)
 
 
@@ -426,7 +425,7 @@ def test_attacker_seven_vs_honest_six(index):
                         (Transfer(9, 9, 1, 200 + i),))
         attacker = report.block_hash
     assert index.tip == attacker
-    assert report.tip_changed and report.reorg_depth == 6
+    assert report.reorg_depth == 6
 
     # integer cumulative-work oracle: equal targets, so work is per-block
     per_block = work_from_target(target_from_compact(EASY_BITS))
@@ -677,7 +676,7 @@ def test_window_that_steps_back_in_time_does_not_halt_the_chain(index):
     child = index.mine_block(tip, (), stamp + 600)
     assert child.header.compact_target == want
     report = index.add_block(child)
-    assert report.verdict is Verdict.VALID and report.new_tip == block_id(child)
+    assert report.verdict is Verdict.VALID and index.tip == block_id(child)
 
 
 def test_off_boundary_child_keeps_noncanonical_parent_bits():

@@ -96,6 +96,24 @@ def test_mine_then_verify_roundtrip(tmp_path):
     assert verdict["valid"] is True and verdict["digest"] == record["digest"]
 
 
+def test_mine_hashes_whole_batches_and_the_winner_once(tmp_path, monkeypatch):
+    # Work budget: mine hashes 1,024-nonce batches up to the winner's, and
+    # the record re-hashes the winner.  At target 2**248 the winner is trial
+    # 205: 1,025 hashes.
+    import opow.heavyhash
+    import opow.pow
+
+    hashed = []
+    for owner in (opow.pow, opow.heavyhash):
+        def counted(params, matrix, inputs, real=owner.heavyhash_many):
+            hashed.append(len(inputs))
+            return real(params, matrix, inputs)
+        monkeypatch.setattr(owner, "heavyhash_many", counted)
+    code, out = run(tmp_path, "mine", "target_exponent = 248\n")
+    assert code == 0
+    trials = read_records(out)[1]["trials"]
+    assert sum(hashed) == math.ceil(trials / 1024) * 1024 + 1
+
 def test_verify_tampered_header_exits_1(tmp_path, m0):
     from opow.heavyhash import HeavyHashParams, heavyhash
     from opow.pow import meets_target
@@ -435,6 +453,7 @@ def test_econ_custom_fleet(tmp_path):
 # -- config handling ----------------------------------------------------------------
 
 CONFIG_COMMANDS = ("mine", "verify", "chainsim", "attack", "photonic", "econ")
+_CUSTOM_FLEET = "hashrates = 1\ncapex_rates = 1\nopex_rates = 1\n"
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -445,8 +464,22 @@ CONFIG_COMMANDS = ("mine", "verify", "chainsim", "attack", "photonic", "econ")
     ("econ", "mode = bogus\n", "unknown econ mode 'bogus'"),
     ("econ", "mode = attack-cost\nhashrates = 1,1\n",
      "custom fleets need hashrates, capex_rates and opex_rates"),
+    # Keys the mode does not read, which it used to ignore.
+    ("econ", "mode = calibrated-drop\nopex_shares = 0.5\n" + _CUSTOM_FLEET,
+     "econ mode 'calibrated-drop' does not read opex_shares, hashrates, "
+     "capex_rates, opex_rates"),
+    ("econ", "mode = resilience\ncapex_shares = 0.5\nduration_days = 2\n",
+     "econ mode 'resilience' does not read capex_shares, duration_days"),
+    ("econ", "opex_shares = 0.5\nn_cohorts = 3\n" + _CUSTOM_FLEET,
+     "econ mode 'resilience' does not read opex_shares, n_cohorts"),
+    ("econ", "mode = attack-cost\ncapex_shares = 0.5\n" + _CUSTOM_FLEET,
+     "econ mode 'attack-cost' does not read capex_shares"),
+    ("econ", "mode = attack-cost\nn_cohorts = 4\n",
+     "econ mode 'attack-cost' does not read n_cohorts"),
 ], ids=["mine-both-targets", "mine-exponent-256", "verify-no-header",
-        "econ-bogus-mode", "econ-hashrates-only"])
+        "econ-bogus-mode", "econ-hashrates-only", "econ-calibrated-drop-fleet",
+        "econ-resilience-attack-keys", "econ-resilience-shares-and-fleet",
+        "econ-attack-cost-shares-and-fleet", "econ-attack-cost-n_cohorts"])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
     code, out = run(tmp_path, command, cfg)
     assert code == 2

@@ -17,6 +17,7 @@ from opow.heavyhash import (
     ParameterError,
     WeightMatrix,
     _certified_full_rank,
+    _cholesky_certifies,
     _pack_nibbles,
     _split_nibbles,
     _weight_digests,
@@ -131,7 +132,6 @@ def test_matrix_determinism():
     a = generate_matrix(seed)
     b = generate_matrix(seed)
     assert np.array_equal(a.entries, b.entries)
-    assert a.seed == seed
 
 
 def test_matrix_row0_golden(m0, golden):
@@ -150,14 +150,16 @@ def test_matrix_matches_reference_oracle():
 
 @pytest.mark.parametrize("dim", [64, 16])
 def test_refused_candidate_continues_the_stream(dim, monkeypatch):
-    # Refuse only the first candidate in both rank tests: the matrix must be
-    # the second candidate, filled from the words that follow the first.
+    # Refuse only the first candidate in the stacked pass and in both rank
+    # tests: the matrix must be the second candidate, filled from the words
+    # that follow the first.
     import opow.heavyhash as hh
 
     def refuse_first(test):
         calls = itertools.count()
         return lambda entries: next(calls) > 0 and test(entries)
 
+    monkeypatch.setattr(hh, "_cholesky_certifies", refuse_first(_cholesky_certifies))
     monkeypatch.setattr(hh, "_certified_full_rank", refuse_first(_certified_full_rank))
     monkeypatch.setattr(hh, "matrix_is_full_rank", refuse_first(matrix_is_full_rank))
     seed = bytes(range(32))
@@ -385,7 +387,7 @@ _BATCH_POOL = {
 def test_generate_matrices_is_generate_matrix_of_each_seed(case):
     dim, seeds = case
     batch = generate_matrices(seeds, dim)
-    assert [m.seed for m in batch] == seeds
+    assert len(batch) == len(seeds)
     for matrix, seed in zip(batch, seeds):
         assert matrix.dim == dim
         assert (matrix.entries.tolist() == generate_matrix(seed, dim).entries.tolist()
@@ -413,16 +415,29 @@ def test_refused_chunk_runs_again_one_candidate_at_a_time(monkeypatch):
         assert refused[i].entries.tolist() == clean[i].entries.tolist()
 
 
+@pytest.mark.parametrize("dim", [16, 64])
+def test_a_single_seed_derives_through_the_stacked_pass(dim, monkeypatch):
+    # generate_matrix is a stack of one: one Cholesky over a (1, dim, dim)
+    # stack settles a clean seed, and no per-candidate step runs.
+    import opow.heavyhash as hh
+
+    stacked = _count_calls(monkeypatch, hh, "_cholesky_certifies")
+    per_candidate = _count_calls(monkeypatch, hh, "_certified_full_rank")
+    seed = random.Random(dim).randbytes(32)
+    assert generate_matrix(seed, dim).entries.tolist() == _ref_entries(seed, dim)
+    assert [entries.shape for entries, in stacked] == [(1, dim, dim)]
+    assert per_candidate == []
+
 def test_derived_matrix_is_the_checked_constructor_s():
     # generate_matrices skips the constructor's checks, not its freezing.
     for matrix in generate_matrices([bytes(32), b"\x01" * 32]) + [
             generate_matrix(bytes(32), 16)]:
-        checked = WeightMatrix(entries=matrix.entries.copy(), seed=matrix.seed)
+        checked = WeightMatrix(entries=matrix.entries.copy())
         for name in ("entries", "weights_t"):
             derived, built = getattr(matrix, name), getattr(checked, name)
             assert derived.dtype == built.dtype and (derived == built).all()
             assert not derived.flags.writeable
-        assert type(matrix.seed) is bytes and matrix.dim == checked.dim
+        assert matrix.dim == checked.dim
 
 
 # -- weighting ---------------------------------------------------------------
@@ -438,8 +453,7 @@ def test_weighting_identity_is_zero():
 def test_weighting_all_ones_arithmetic():
     # Rank-1, so generate_matrix would never emit it, but the arithmetic is
     # fixed: 64 * 15 * 15 = 14400 -> (14400 >> 10) & 0xF == 14.
-    m = WeightMatrix(entries=np.full((64, 64), 15, dtype=np.int64),
-                     seed=bytes(32))
+    m = WeightMatrix(entries=np.full((64, 64), 15, dtype=np.int64))
     assert (weighting(m, np.full(64, 15)) == 14).all()
 
 
@@ -556,7 +570,7 @@ def test_heavyhash_many_working_memory_is_bounded(m0):
 def test_float32_kernel_exact_at_the_accumulator_bound(m0):
     # float32 holds every integer only up to 2**24; the all-15 matrix on an
     # all-0xFF digest drives every accumulator to its bound, 14400.
-    full = WeightMatrix(entries=np.full((64, 64), 15), seed=bytes(32))
+    full = WeightMatrix(entries=np.full((64, 64), 15))
     assert (weighting_sums(full, np.full(64, 15)) == accumulator_max(64)).all()
     rng = random.Random(15)
     digests = [b"\xff" * 32] + [rng.randbytes(32) for _ in range(299)]
