@@ -164,12 +164,6 @@ class ChainIndex:
 
     # -- lookups ---------------------------------------------------------
 
-    def __contains__(self, block_hash: bytes) -> bool:
-        return block_hash in self._entries
-
-    def entry(self, block_hash: bytes) -> _Entry:
-        return self._entries[block_hash]
-
     def tip_entry(self) -> _Entry:
         return self._entries[self.tip]
 

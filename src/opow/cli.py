@@ -32,7 +32,6 @@ from .configio import (
     as_float_list,
     as_hex,
     as_int,
-    as_str,
     given,
 )
 from .heavyhash import (
@@ -293,9 +292,16 @@ def _attack(args, cfg: dict) -> list[dict]:
     unused = [k for k in cfg if k not in _RACE_KEYS]
     if unused:
         raise ConfigError(f"scenario keys {', '.join(unused)} need a miners list")
+    runs = cfg.get("runs", 100_000)
+    if not 1 <= runs <= MAX_RACE_RUNS:
+        raise ConfigError(f"runs must be in [1, {MAX_RACE_RUNS}], got {runs}")
+    steps = runs * (cfg.get("horizon_blocks", netsim.DEFAULT_HORIZON_BLOCKS) - cfg["z"])
+    if steps > MAX_RACE_STEPS:
+        raise ConfigError(f"runs * (horizon_blocks - z) may be at most {MAX_RACE_STEPS} "
+                          f"replica steps, got {steps}: lower runs or horizon_blocks")
     stats = netsim.attack_monte_carlo(
-        cfg["q"], cfg["z"], cfg.get("runs", 100_000), seed=args.seed,
-        threads=args.threads, **given(cfg, "horizon_blocks", "abandon_margin"))
+        cfg["q"], cfg["z"], runs, seed=args.seed, threads=args.threads,
+        **given(cfg, "horizon_blocks", "abandon_margin"))
     return [{
         "record": "attack",
         "q": stats.q,
@@ -320,6 +326,11 @@ def _attack(args, cfg: dict) -> list[dict]:
 MAX_SCENARIO_BLOCKS = 10**5
 MAX_SCENARIO_RUNS = 10**4
 MAX_SCENARIO_WORK = 10**7
+# Race-mode bounds, checked before any work: a race draws up to runs *
+# (horizon_blocks - z) replica steps.  At q = 0.5 (no replica gives up) 10**10
+# took 7.5 to 26 s on 2 threads, and 10**7 runs of one step took 1.5 s.
+MAX_RACE_RUNS = 10**7
+MAX_RACE_STEPS = 10**10
 
 
 def _attack_engine_mode(args, cfg: dict) -> list[dict]:
@@ -390,7 +401,7 @@ def _photonic(args, cfg: dict) -> list[dict]:
 
 
 _ECON_SCHEMA = {
-    "mode": as_str,
+    "mode": str,
     "reward_value": as_float,
     "block_interval": as_float,
     "n_cohorts": as_int,

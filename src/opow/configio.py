@@ -29,10 +29,6 @@ def as_float(text: str) -> float:
     return value
 
 
-def as_str(text: str) -> str:
-    return text
-
-
 def as_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):

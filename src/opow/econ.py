@@ -67,7 +67,7 @@ def active_cohorts(fleet: MinerFleet, market: MarketState) -> list[bool]:
     pass gives the fixed point, and it is unique.
     """
     reward = market.reward_rate
-    total = sum(c.hashrate for c in fleet.cohorts if c.hashrate > 0)
+    total = fleet.total_hashrate
     return [c.hashrate > 0 and not reward * (c.hashrate / total) < c.opex_rate
             for c in fleet.cohorts]
 
@@ -105,7 +105,7 @@ def attack_cost(fleet: MinerFleet, market: MarketState, duration: float,
     if duration < 0:
         raise ValueError("duration must be nonnegative")
     if hardware_price_multiple <= 0:
-        raise ValueError("price multiple and amortization must be positive")
+        raise ValueError("hardware_price_multiple must be positive")
     active = active_cohorts(fleet, market)
     capex = sum(c.capex_rate for c, a in zip(fleet.cohorts, active) if a)
     opex = sum(c.opex_rate for c, a in zip(fleet.cohorts, active) if a)
@@ -143,11 +143,20 @@ def fleet_from_rates(hashrates: list[float], capex_rates: list[float],
 MAX_COHORTS = 10**6
 
 
-def _check_cohorts(n_cohorts: int) -> None:
+def _equal_cohorts(market: MarketState, n_cohorts: int, margin,
+                   capex: bool) -> MinerFleet:
+    """`n_cohorts` cohorts of hashrate 1 / n_cohorts.  Cohort i spends
+    `margin(i)` of its pro-rata revenue on energy and, with `capex`, the
+    rest (never below 0) on hardware."""
     if n_cohorts < 1:
         raise ValueError("bad fleet shape parameters")
     if n_cohorts > MAX_COHORTS:
         raise ValueError(f"n_cohorts must be at most {MAX_COHORTS}")
+    h = 1.0 / n_cohorts
+    revenue = market.reward_rate / n_cohorts
+    opex_rates = [margin(i) * revenue for i in range(n_cohorts)]
+    return MinerFleet(tuple(Cohort(h, max(0.0, revenue - o) if capex else 0.0, o)
+                            for o in opex_rates))
 
 
 def synthetic_fleet(opex_share: float, market: MarketState,
@@ -164,17 +173,11 @@ def synthetic_fleet(opex_share: float, market: MarketState,
     """
     if not 0.0 < opex_share < 1.0:
         raise ValueError("opex_share must be in (0, 1)")
-    _check_cohorts(n_cohorts)
-    h = 1.0 / n_cohorts
-    revenue_per_cohort = market.reward_rate / n_cohorts
     half_width = min(opex_share, 1.0 - opex_share)
-    cohorts = []
-    for i in range(n_cohorts):
-        margin = opex_share + half_width * ((2 * i + 1) / n_cohorts - 1.0)
-        opex = margin * revenue_per_cohort
-        capex = max(0.0, revenue_per_cohort - opex)
-        cohorts.append(Cohort(hashrate=h, capex_rate=capex, opex_rate=opex))
-    return MinerFleet(tuple(cohorts))
+    return _equal_cohorts(
+        market, n_cohorts,
+        lambda i: opex_share + half_width * ((2 * i + 1) / n_cohorts - 1.0),
+        capex=True)
 
 
 # Margin ceiling fitted to the late-2018 episode: a 45% price drop (reward
@@ -191,12 +194,7 @@ def bitcoin_like_fleet(market: MarketState, n_cohorts: int = 100) -> MinerFleet:
     fleet runs at baseline and a 0.55 multiplier idles ~42% of hashrate.
     The fleet's total hashrate is 1 and its hardware is sunk (no capex).
     """
-    _check_cohorts(n_cohorts)
-    h = 1.0 / n_cohorts
-    revenue_per_cohort = market.reward_rate / n_cohorts
-    cohorts = []
-    for i in range(n_cohorts):
-        margin = BITCOIN_EPISODE_MARGIN_CEILING * (i + 0.5) / n_cohorts
-        cohorts.append(Cohort(hashrate=h, capex_rate=0.0,
-                              opex_rate=margin * revenue_per_cohort))
-    return MinerFleet(tuple(cohorts))
+    return _equal_cohorts(
+        market, n_cohorts,
+        lambda i: BITCOIN_EPISODE_MARGIN_CEILING * (i + 0.5) / n_cohorts,
+        capex=False)

@@ -32,6 +32,7 @@ HONEST = "honest"
 ATTACKER = "attacker"
 
 DEFAULT_ABANDON_MARGIN = 64
+DEFAULT_HORIZON_BLOCKS = 10_000  # the race Monte Carlo's block horizon
 
 
 class ConfigurationError(ValueError):
@@ -121,6 +122,10 @@ class SimScenario:
         if self.integrated and (self.partitions or self.attacker() is not None):
             raise ConfigurationError(
                 "integrated mode supports honest, unpartitioned scenarios only")
+        if self.integrated and (self.latency != (0.0, 0.0)
+                                or self.horizon_seconds is not None):
+            raise ConfigurationError(
+                "integrated mode takes neither latency nor horizon_seconds")
         if self.integrated and (self.horizon_blocks is None
                                 or self.horizon_blocks > 500):
             raise ConfigurationError(
@@ -239,6 +244,15 @@ def scenario_from_config(cfg: dict, seed: int) -> SimScenario:
 # analytic oracles
 
 
+def _check_race(q: float, z: int, runs: int = 1) -> None:
+    if not 0.0 <= q < 1.0:
+        raise ValueError("q must satisfy 0 <= q < 1")
+    if z < 0:
+        raise ValueError("z must be >= 0")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+
+
 def catchup_probability(q: float, z: int) -> float:
     """Probability an attacker with hashrate share q erases a z-block deficit.
 
@@ -248,10 +262,7 @@ def catchup_probability(q: float, z: int) -> float:
     as the block horizon and the give-up margin grow, not its value at a
     finite horizon or margin.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError("q must satisfy 0 <= q < 1")
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    _check_race(q, z)
     if z == 0 or q >= 0.5:
         return 1.0
     return (q / (1.0 - q)) ** z
@@ -264,10 +275,7 @@ def nakamoto_probability(q: float, z: int) -> float:
     pre-mined during the confirmation window; reported alongside the race
     results for comparison.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError("q must satisfy 0 <= q < 1")
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    _check_race(q, z)
     if q >= 0.5:
         return 1.0
     p = 1.0 - q
@@ -311,7 +319,7 @@ class _Engine:
         self.success: Optional[bool] = False if att else None
 
         for m in sc.miners:
-            if m.role == HONEST and self.rates[m.miner_id] > 0:
+            if m.role == HONEST:
                 self._schedule_mine(0.0, m.miner_id)
         for i, w in enumerate(sc.partitions):
             self._push(w.end, "heal", i)
@@ -570,7 +578,7 @@ def _live_hits(rng: np.random.Generator, q: float, runs: int, k: int,
 
 
 def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
-                        horizon_blocks: int = 10_000,
+                        horizon_blocks: int = DEFAULT_HORIZON_BLOCKS,
                         abandon_margin: int = DEFAULT_ABANDON_MARGIN) -> AttackStats:
     """Vectorized replica of the engine's double-spend race.
 
@@ -595,10 +603,7 @@ def attack_success_rate(q: float, z: int, runs: int, seed: int = 0,
     counts and indices, the packed wins and one slab, under 4 MB traced
     for a 25k-replica shard.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError("q must satisfy 0 <= q < 1")
-    if z < 0 or runs <= 0:
-        raise ValueError("z and runs must be nonnegative/positive")
+    _check_race(q, z, runs)
     # Degenerate races: no block left for the race after the z confirmations,
     # or a give-up margin under one block.  Either reports a rate near 0 that
     # measures nothing.
@@ -658,8 +663,7 @@ def attack_monte_carlo(q: float, z: int, runs: int, seed: int = 0,
     The shard layout depends only on `runs`, so the result is identical for
     any thread count.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_race(q, z, runs)
     sizes = [min(_SHARD_SIZE, runs - start)
              for start in range(0, runs, _SHARD_SIZE)]
     from concurrent.futures import ThreadPoolExecutor  # ~20 ms of cold start

@@ -304,15 +304,14 @@ def clements_decompose(u: np.ndarray) -> MeshConfiguration:
                 _apply_t_rows(work, row - 1, theta, phi)
                 left_ops.append((row - 1, theta, phi))
 
-    diag = np.diagonal(work).copy()
-    off = float(np.max(np.abs(work - np.diag(diag))))
+    d = np.diagonal(work).copy()
+    off = float(np.max(np.abs(work - np.diag(d))))
     if off > _UNITARY_TOL:
         raise NumericError(f"nulling sweep left off-diagonal mass {off:.3e}")
 
     # U = T_L1^+ ... T_Lp^+ . D . T_Rq ... T_R1; push each T^+ through D:
     #   T(theta, phi)^+ . diag(da, db) = diag(-e^{-i phi} db, db) . T(theta, phi~)
     # with phi~ = arg(-da/db).  theta = 0 nodes absorb into D directly.
-    d = diag.astype(np.complex128)
     converted: list[tuple[int, float, float]] = []
     for mode, theta, phi in reversed(left_ops):
         da, db = d[mode], d[mode + 1]

@@ -24,7 +24,6 @@ TARGET_SPACE = 1 << 256
 
 HEADER_FORMAT = "<I32s32sQIQ"
 HEADER_SIZE = struct.calcsize(HEADER_FORMAT)  # 88
-_PREFIX_FORMAT = "<I32s32sQI"  # header minus the trailing nonce
 
 _U32 = 1 << 32
 _U64 = 1 << 64
@@ -195,9 +194,7 @@ def mine(template: BlockHeader, matrix: WeightMatrix, target: int,
         raise ValueError("template compact_target does not encode the target")
     if nonce_count < 0 or nonce_start < 0 or nonce_start + nonce_count > _U64:
         raise ValueError("nonce range out of u64 space")
-    prefix = struct.pack(_PREFIX_FORMAT, template.version, template.parent_hash,
-                         template.payload_commitment, template.timestamp,
-                         template.compact_target)
+    prefix = serialize_header(template)[:-8]  # all but the u64 nonce
     target_bytes = target.to_bytes(DIGEST_SIZE, "big")
     end = nonce_start + nonce_count
     nonce = nonce_start

@@ -182,7 +182,7 @@ def test_deep_orphan_chain_in_reverse_order(index):
         block = Block(template.with_nonce(nonce))
         assert index.add_block(block).verdict is Verdict.VALID
         tip = block_id(block)
-    blocks = [index.entry(h).block for h in best_chain(index)[1:]]
+    blocks = [index._entries[h].block for h in best_chain(index)[1:]]
     replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
     for block in reversed(blocks[1:]):
         assert replayed.add_block(block).verdict is Verdict.ORPHAN
@@ -195,7 +195,7 @@ def test_deep_orphan_chain_in_reverse_order(index):
 
 def test_repeated_orphan_is_pooled_once(index):
     first = index.add_block(index.mine_block(index.genesis_hash, (), 600))
-    b1 = index.entry(first.block_hash).block
+    b1 = index._entries[first.block_hash].block
     b2 = index.mine_block(first.block_hash, (), timestamp=1200)
     c2 = index.mine_block(first.block_hash, (), timestamp=1300)
     fresh = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
@@ -212,7 +212,7 @@ def test_repeated_orphan_is_pooled_once(index):
 
 def test_bogus_copy_of_an_orphan_cannot_displace_it(index):
     first = index.add_block(index.mine_block(index.genesis_hash, (), 600))
-    b1 = index.entry(first.block_hash).block
+    b1 = index._entries[first.block_hash].block
     b2 = index.mine_block(first.block_hash, (Transfer(1, 2, 3, 4),), 1200)
     bogus = Block(b2.header, (Transfer(1, 2, 99, 4),))  # same header id
     fresh = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
@@ -221,7 +221,7 @@ def test_bogus_copy_of_an_orphan_cannot_displace_it(index):
     assert fresh.add_block(b2).verdict is Verdict.ORPHAN
     report = fresh.add_block(b1)
     assert report.accepted_orphans == (block_id(b2),)
-    assert fresh.entry(block_id(b2)).block.transfers == b2.transfers
+    assert fresh._entries[block_id(b2)].block.transfers == b2.transfers
 
 
 def easy_child(parent_hash, timestamp, transfers=(), bits=EASY_BITS):
@@ -347,7 +347,7 @@ def test_connecting_a_pooled_chain_derives_and_hashes_once(index, monkeypatch):
     # No block is validated twice: each orphan was derived and hashed when
     # it arrived, so the drain does neither.
     build_chain(index, 20)
-    blocks = [index.entry(h).block for h in best_chain(index)[1:]]
+    blocks = [index._entries[h].block for h in best_chain(index)[1:]]
     fresh = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
     for block in reversed(blocks[1:]):
         assert fresh.add_block(block).verdict is Verdict.ORPHAN
@@ -379,11 +379,11 @@ def test_bad_commitment_keeps_the_pool_for_the_genuine_block(index):
 
 def test_copy_of_an_accepted_block_with_other_transfers(index):
     report = extend(index, index.genesis_hash, 600, (Transfer(1, 2, 3, 4),))
-    genuine = index.entry(report.block_hash).block
+    genuine = index._entries[report.block_hash].block
     copy = Block(genuine.header, (Transfer(1, 2, 99, 4),))  # same header id
     assert index.add_block(copy).verdict is Verdict.BAD_COMMITMENT
     assert index.add_block(genuine).verdict is Verdict.VALID
-    assert index.entry(report.block_hash).block.transfers == genuine.transfers
+    assert index._entries[report.block_hash].block.transfers == genuine.transfers
 
 
 # -- fork choice -----------------------------------------------------------------
@@ -430,12 +430,12 @@ def test_attacker_seven_vs_honest_six(index):
     # integer cumulative-work oracle: equal targets, so work is per-block
     per_block = work_from_target(target_from_compact(EASY_BITS))
     expect = (1 + 1 + 7) * per_block  # genesis + fork block + 7 attacker blocks
-    assert index.entry(index.tip).cumulative_work == expect
+    assert index._entries[index.tip].cumulative_work == expect
 
 
 def test_work_strictly_increases_along_chain(index):
     build_chain(index, 8)
-    works = [index.entry(h).cumulative_work for h in best_chain(index)]
+    works = [index._entries[h].cumulative_work for h in best_chain(index)]
     assert all(b > a for a, b in zip(works, works[1:]))
 
 
@@ -448,7 +448,7 @@ def test_arrival_order_independence(index):
     final_tip = index.tip
     assert final_tip == tip  # main chain is strictly heavier
 
-    pool = [index.entry(h).block for h in best_chain(index)[1:]] + [side]
+    pool = [index._entries[h].block for h in best_chain(index)[1:]] + [side]
     # the orphan pool makes every arrival order equivalent, not just
     # parent-before-child ones; the side branch ends at height 2 with
     # cumulative work 21 against the main tip's 28, so no tie-break applies
@@ -466,9 +466,9 @@ def test_arrival_order_equal_work_keeps_first_inserted(index):
     side = index.mine_block(best_chain(index)[2], (), timestamp=90_000)
     index.add_block(side)
     tied = (tip, block_id(side))
-    assert index.entry(tied[0]).cumulative_work == index.entry(tied[1]).cumulative_work
+    assert index._entries[tied[0]].cumulative_work == index._entries[tied[1]].cumulative_work
 
-    pool = [index.entry(h).block for h in best_chain(index)[1:]] + [side]
+    pool = [index._entries[h].block for h in best_chain(index)[1:]] + [side]
     ancestors = [block_id(b) for b in pool[:2]]  # shared by both tied blocks
     for perm in itertools.permutations(pool):
         replayed = ChainIndex(make_genesis(EASY_BITS, timestamp=0))
@@ -527,7 +527,7 @@ def test_fork_choice_is_independent_of_arrival_order(order):
         assert replayed.add_block(block).verdict in verdicts
     assert replayed.tip == tip
     assert replayed.tip_entry().cumulative_work == work
-    assert not any(block_id(block) in replayed for block, _ in invalid)
+    assert not any(block_id(block) in replayed._entries for block, _ in invalid)
     assert replayed._orphans == {}
 
 
@@ -535,7 +535,7 @@ def test_no_accepted_chain_has_duplicate_spend_ids(index):
     build_chain(index, 10)
     seen = set()
     for h in best_chain(index):
-        for t in index.entry(h).block.transfers:
+        for t in index._entries[h].block.transfers:
             assert t.spend_id not in seen
             seen.add(t.spend_id)
 
@@ -698,7 +698,7 @@ def test_off_boundary_child_keeps_noncanonical_parent_bits():
 def test_block_bytes_roundtrip(index):
     build_chain(index, 3)
     for h in best_chain(index):
-        block = index.entry(h).block
+        block = index._entries[h].block
         assert block_from_bytes(block_to_bytes(block)) == block
 
 
@@ -762,9 +762,9 @@ def test_export_import_keeps_an_equal_work_tip():
     for height in range(11, 66):  # window span 19,200 s
         stamp = 6000 + (height - 10) * 13_200 // 54 if height <= 64 else 19_800
         b = extend(index, b, stamp).block_hash
-    assert index.entry(b).block.header.compact_target == 0x203FFFFF
-    assert [index.entry(h).height for h in (a, b)] == [66, 65]
-    assert index.entry(a).cumulative_work == index.entry(b).cumulative_work == 134
+    assert index._entries[b].block.header.compact_target == 0x203FFFFF
+    assert [index._entries[h].height for h in (a, b)] == [66, 65]
+    assert index._entries[a].cumulative_work == index._entries[b].cumulative_work == 134
     assert index.tip == a
     buf = io.BytesIO()
     index.export_stream(buf)

@@ -476,10 +476,17 @@ _CUSTOM_FLEET = "hashrates = 1\ncapex_rates = 1\nopex_rates = 1\n"
      "econ mode 'attack-cost' does not read capex_shares"),
     ("econ", "mode = attack-cost\nn_cohorts = 4\n",
      "econ mode 'attack-cost' does not read n_cohorts"),
+    ("econ", "mode = attack-cost\nhardware_price_multiple = 0\n",
+     "hardware_price_multiple must be positive"),
+    # Integrated blocks reach every node at once and stop at horizon_blocks.
+    ("attack", "miners = a:0.5, b:0.5\nhorizon_blocks = 5\nintegrated = true\n"
+     "latency = 5, 30\nhorizon_seconds = 1\n",
+     "integrated mode takes neither latency nor horizon_seconds"),
 ], ids=["mine-both-targets", "mine-exponent-256", "verify-no-header",
         "econ-bogus-mode", "econ-hashrates-only", "econ-calibrated-drop-fleet",
         "econ-resilience-attack-keys", "econ-resilience-shares-and-fleet",
-        "econ-attack-cost-shares-and-fleet", "econ-attack-cost-n_cohorts"])
+        "econ-attack-cost-shares-and-fleet", "econ-attack-cost-n_cohorts",
+        "econ-attack-cost-price-multiple", "attack-integrated-latency"])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
     code, out = run(tmp_path, command, cfg)
     assert code == 2
@@ -489,6 +496,11 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, cfg, message):
 
 _SCENARIO_BLOCKS_ERROR = ("a run may create at most 100000 blocks: lower "
                           "horizon_blocks, or horizon_seconds / mean_block_interval")
+
+
+def _race_steps_error(steps: int) -> str:
+    return (f"runs * (horizon_blocks - z) may be at most 10000000000 replica "
+            f"steps, got {steps}: lower runs or horizon_blocks")
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -506,9 +518,15 @@ _SCENARIO_BLOCKS_ERROR = ("a run may create at most 100000 blocks: lower "
     ("attack", "miners = a:0.5, b:0.5\nhorizon_blocks = 100001\n", _SCENARIO_BLOCKS_ERROR),
     ("attack", "miners = a:0.5, b:0.5\nhorizon_blocks = 10\nruns = 10001\n",
      "runs must be in [1, 10000], got 10001"),
+    ("attack", "q = 0.3\nz = 6\nruns = 100000000000\n",
+     "runs must be in [1, 10000000], got 100000000000"),
+    ("attack", "q = 0.3\nz = 6\nruns = 10000000\n", _race_steps_error(99940000000)),
+    ("attack", "q = 0.5\nz = 6\nruns = 100000\nhorizon_blocks = 1000000\n",
+     _race_steps_error(99999400000)),
 ], ids=["econ-resilience", "econ-calibrated-drop", "chainsim-window",
         "chainsim-n_windows", "photonic-samples", "attack-horizon_seconds",
-        "attack-horizon_blocks", "attack-runs"])
+        "attack-horizon_blocks", "attack-runs", "race-runs",
+        "race-default-horizon", "race-horizon_blocks"])
 def test_oversized_runs_exit_2(tmp_path, capsys, command, cfg, message):
     # Refused up front, before the run allocates a point, a cohort, a block
     # or a record per unit.
@@ -532,6 +550,14 @@ def test_engine_work_is_bounded_over_all_runs(tmp_path, capsys, cfg, blocks):
     assert capsys.readouterr().err == (
         f"error: all runs may create at most 10000000 blocks, got {blocks}: "
         "lower runs or the horizon\n")
+
+
+def test_race_step_bound_admits_its_limit(tmp_path):
+    # 10**6 runs of the default 10,000-block horizon at z = 0 are exactly
+    # 10**10 replica steps, and every replica starts level: no step is drawn.
+    code, out = run(tmp_path, "attack", "q = 0.3\nz = 0\nruns = 1000000\n")
+    assert code == 0
+    assert read_records(out)[1]["successes"] == 1_000_000
 
 
 def test_engine_block_bound_takes_the_smaller_horizon(tmp_path):

@@ -2,8 +2,10 @@
 
 Every public module-level function and class in `src/opow`, and every public
 method and property of a public class, must be named somewhere in `src/opow`
-outside its own definition, or in `bench/`.  A name that only the tests call
-belongs with the tests.
+outside its own definition, or in `bench/`; a method or property only counts
+as called through attribute access (`x.entry`), not through a bare name such
+as a same-named local.  A name that only the tests call belongs with the
+tests.
 """
 
 import ast
@@ -17,15 +19,16 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referenced(node: ast.AST) -> set[str]:
-    """Identifiers that `node` reads, by bare name or as an attribute."""
-    names = set()
+def _referenced(node: ast.AST) -> tuple[set[str], set[str]]:
+    """Identifiers that `node` reads by bare name, and those it reads as an
+    attribute."""
+    names, attrs = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+            attrs.add(sub.attr)
+    return names, attrs
 
 
 def _public(node: ast.AST, kinds) -> bool:
@@ -33,8 +36,8 @@ def _public(node: ast.AST, kinds) -> bool:
 
 
 def unreferenced_public_names(package: Path, others: list[Path]) -> list[str]:
-    defined = {}  # qualified name -> the name a caller uses
-    used = set()
+    defined = {}  # qualified name -> (the name a caller uses, is a member)
+    names, attrs = set(), set()  # read by bare name, read as an attribute
     for path in sorted(package.glob("*.py")):
         tree = _parse(path)
         # Each module-level statement, and each statement of a class body,
@@ -43,7 +46,7 @@ def unreferenced_public_names(package: Path, others: list[Path]) -> list[str]:
         units = []
         for node in tree.body:
             if _public(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[f"{path.stem}.{node.name}"] = node.name
+                defined[f"{path.stem}.{node.name}"] = (node.name, False)
             if not isinstance(node, ast.ClassDef):
                 units.append(({getattr(node, "name", None)}, node))
                 continue
@@ -52,13 +55,18 @@ def unreferenced_public_names(package: Path, others: list[Path]) -> list[str]:
             for item in node.body:
                 own = getattr(item, "name", None)
                 if _public(node, ast.ClassDef) and _public(item, ast.FunctionDef):
-                    defined[f"{path.stem}.{node.name}.{own}"] = own
+                    defined[f"{path.stem}.{node.name}.{own}"] = (own, True)
                 units.append(({node.name, own}, item))
         for own, unit in units:
-            used |= _referenced(unit) - own
+            unit_names, unit_attrs = _referenced(unit)
+            names |= unit_names - own
+            attrs |= unit_attrs - own
     for path in others:
-        used |= _referenced(_parse(path))
-    return sorted(q for q, name in defined.items() if name not in used)
+        other_names, other_attrs = _referenced(_parse(path))
+        names |= other_names
+        attrs |= other_attrs
+    return sorted(q for q, (name, member) in defined.items()
+                  if name not in attrs and (member or name not in names))
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -76,12 +84,15 @@ def test_gate_flags_a_name_only_tests_call(tmp_path):
         "    def called(self):\n        return self.called()\n\n"
         "    def uncalled(self):\n        return self.uncalled()\n\n"
         "    @property\n    def size(self):\n        return 0\n\n"
+        "    def entry(self):\n        return 0\n\n"
         "    def _private(self):\n        pass\n\n\n"
         "class _Hidden:\n    def method(self):\n        pass\n\n\n"
-        "def _private():\n    return _Hidden\n")
+        "def _private():\n    return _Hidden\n\n\n"
+        "def walk(entries):\n    return [entry for entry in entries]\n")
     driver = tmp_path / "bench" / "driver.py"
     driver.parent.mkdir()
     driver.write_text("import mod\nmod.used()\nk = mod.Kept()\n"
-                      "k.called()\nprint(k.size)\n")
+                      "k.called()\nprint(k.size)\nmod.walk([])\n")
+    # Kept.entry shares its name with walk's loop variable, not a call.
     assert unreferenced_public_names(tmp_path, [driver]) == [
-        "mod.Kept.uncalled", "mod.orphan"]
+        "mod.Kept.entry", "mod.Kept.uncalled", "mod.orphan"]

@@ -261,6 +261,26 @@ def test_race_rate_matches_exact_oracle(q, z, horizon, margin, runs, seed, exact
     assert abs(stats.rate - p) < 4 * math.sqrt(p * (1 - p) / runs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(q=st.floats(0.01, 0.45), z=st.integers(1, 8),
+       race=st.integers(1, 300), more_race=st.integers(1, 300),
+       margin=st.integers(1, 40), more_margin=st.integers(1, 40))
+def test_exact_race_tends_to_the_catchup_limit(q, z, race, more_race, margin,
+                                               more_margin):
+    # Below an even split a longer horizon or a wider give-up margin only
+    # lets more replicas pull level, and no finite race beats the
+    # gambler's-ruin limit.  At the 64-block default margin the relative gap
+    # to it is about (q / (1 - q)) ** 64, at most 2.7e-6 at q = 0.45; 2,000
+    # blocks leave no measurable horizon term on top.
+    limit = catchup_probability(q, z)
+    p = exact_race_probability(q, z, z + race, margin)
+    longer = exact_race_probability(q, z, z + race + more_race, margin)
+    wider = exact_race_probability(q, z, z + race, margin + more_margin)
+    assert p <= longer <= limit * (1 + 1e-12)
+    assert p <= wider * (1 + 1e-12) and wider <= limit * (1 + 1e-12)
+    assert exact_race_probability(q, z, 2_000, 64) == pytest.approx(limit, rel=1e-5)
+
+
 def _assert_live_hits_match_full_draw(runs, k, live, seed=0, q=0.3):
     live = np.asarray(live, dtype=np.int64)
     full = np.random.Generator(np.random.PCG64(seed))
@@ -423,3 +443,14 @@ def test_integrated_mode_builds_a_real_valid_chain():
     last = result.timeline[-1]
     assert result.stats["mean_interval"] == pytest.approx(last.time / 25)
     assert result.node_tips == {"a": last.block_id, "b": last.block_id}
+
+
+@pytest.mark.parametrize("extra", [{"latency": (5.0, 30.0)},
+                                   {"horizon_seconds": 1.0},
+                                   {"latency": (0.0, 1.0), "horizon_seconds": 1e9}])
+def test_integrated_mode_refuses_latency_and_horizon_seconds(extra):
+    # Integrated blocks reach every node at once and stop at horizon_blocks,
+    # so either key would be accepted and silently ignored.
+    with pytest.raises(ConfigurationError, match="neither latency nor horizon_seconds"):
+        SimScenario(seed=0, miners=(MinerSpec("a", 0.5), MinerSpec("b", 0.5)),
+                    horizon_blocks=5, integrated=True, **extra)
